@@ -9,7 +9,8 @@ Four subcommands:
     compositions  enumerate every composition of k, one line each
 
 Exit codes: 0 all cases pass, 1 at least one failing case, 2 usage or
-domain errors (including enumeration-budget refusals).  JSON output is the
+domain errors (including enumeration-budget refusals), 3 internal errors
+(an inexact polynomial division).  JSON output is the
 stable machine surface and is byte-identical across reruns with the same
 arguments and seed; pass --timings to include wall-clock milliseconds in it
 (off by default, precisely to keep reruns byte-identical).  The
@@ -35,13 +36,14 @@ from .identities import (
     list_identities,
     verify_range,
 )
-from .poly import poly_to_json
+from .poly import InexactDivisionError, poly_to_json
 from .stirling import StirlingTable
 from .symfun import DEFAULT_SEED, bernoulli, gaussian_binomial
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 _SPAN_FLAGS = ("k", "n", "t", "x")
 
@@ -253,6 +255,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "compositions":
             return _cmd_compositions(args)
         raise AssertionError(f"unhandled command {args.command!r}")
+    except InexactDivisionError as exc:  # a ValueError, but never the user's fault
+        print(f"compident: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (DomainError, UnknownIdentityError, BudgetExceededError, ValueError) as exc:
         print(f"compident: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

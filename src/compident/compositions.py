@@ -2,26 +2,29 @@
 
 A composition of k with r parts is an ordered tuple of positive integers
 summing to k.  There are C(k-1, r-1) compositions with exactly r parts and
-2**(k-1) altogether, so every enumerator here streams lazily and the
-full-enumeration operations refuse k beyond a configurable cap (20 by
-default; the COMPIDENT_BUDGET environment variable or an explicit ``budget``
-argument overrides it).
+2**(k-1) altogether, so every enumerator here streams lazily; they and the
+transform refuse k beyond a configurable cap (20 by default; the
+COMPIDENT_BUDGET environment variable or an explicit ``budget`` argument
+overrides it).
 
 The central operation is the signed transform
 
-    sum_{r=1}^{k} (-1)**(k-r) sum_{k_1+...+k_r=k, k_i>=1} prod_i term(k_i)
+    T(k) = sum_{r=1}^{k} (-1)**(k-r) sum_{k_1+...+k_r=k, k_i>=1} prod_i term(k_i)
 
 which converts a sequence of elementary-type terms into the complete-type
 value of degree k, and back again when fed the complete-type sequence.  It
 is generic over the ring of the terms: anything supporting +, unary -, and *
-works (ints, Fractions, polynomials, rational functions).
+works (ints, Fractions, polynomials, rational functions).  As (-1)**(k-r) =
+prod_i (-1)**(k_i-1), T is the O(k**2) e -> h convolution (transform_prefix);
+the enumeration sum_r (-1)**(k-r) inner_sum_positive(term, k, r) and symfun's
+Toeplitz determinant are the two independent routes that check it.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 from .exact_arith import binomial
 
@@ -30,7 +33,7 @@ BUDGET_ENV_VAR = "COMPIDENT_BUDGET"
 
 
 class BudgetExceededError(RuntimeError):
-    """A 2**(k-1)-path enumeration was refused because k exceeds the cap."""
+    """An enumeration or transform was refused because k exceeds the cap."""
 
 
 def enumeration_budget() -> int:
@@ -51,8 +54,8 @@ def _check_budget(operation: str, k: int, budget: int | None) -> None:
     cap = enumeration_budget() if budget is None else budget
     if k > cap:
         raise BudgetExceededError(
-            f"{operation}: k={k} would walk 2**{k - 1} compositions, over the "
-            f"cap k<={cap} (override via {BUDGET_ENV_VAR} or budget=)"
+            f"{operation}: k={k} is over the cap k<={cap} "
+            f"(override via {BUDGET_ENV_VAR} or budget=)"
         )
 
 
@@ -154,35 +157,32 @@ def _weak_parts(remaining: int, slots: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
+def transform_prefix(values: Sequence[Any]) -> list[Any]:
+    """T(1)..T(k) by T(m) = sum_{i=1}^{m} (-1)**(i-1) term(i) T(m-i), T(0) = 1;
+    the i = m summand is term(m) itself, so every T(m) stays in the terms' ring."""
+    ts: list[Any] = []
+    for m in range(1, len(values) + 1):
+        total: Any = None
+        for i in range(1, m + 1):
+            product = values[i - 1] if i == m else values[i - 1] * ts[m - i - 1]
+            signed = product if i % 2 else -product
+            total = signed if total is None else total + signed
+        ts.append(total)
+    return ts
+
+
 def composition_transform(terms: Any, k: int, *, budget: int | None = None) -> Any:
     """Signed sum of term products over every composition of k.
 
         sum_{r=1}^{k} (-1)**(k-r) sum_{k_1+...+k_r=k, k_i>=1} prod term(k_i)
 
-    Walks the whole composition tree (2**(k-1) leaves, one per composition),
-    sharing prefix products along shared stems; each term value is computed
-    once per part size.
+    Computed by the convolution ``transform_prefix`` in O(k**2) ring operations.
     """
     if k < 1:
         raise ValueError(f"composition_transform: k must be >= 1, got {k}")
     _check_budget("composition_transform", k, budget)
     term = _term_callable(terms)
-    values = [term(i) for i in range(1, k + 1)]
-    total: Any = None
-
-    def descend(remaining: int, prefix: Any, used: int) -> None:
-        nonlocal total
-        for part in range(1, remaining + 1):
-            product = values[part - 1] if prefix is None else prefix * values[part - 1]
-            rest = remaining - part
-            if rest:
-                descend(rest, product, used + 1)
-            else:
-                signed = product if (k - used - 1) % 2 == 0 else -product
-                total = signed if total is None else total + signed
-
-    descend(k, None, 0)
-    return total
+    return transform_prefix([term(i) for i in range(1, k + 1)])[-1]
 
 
 def inner_sum_positive(terms: Any, k: int, r: int, *, budget: int | None = None) -> Any:
@@ -191,18 +191,12 @@ def inner_sum_positive(terms: Any, k: int, r: int, *, budget: int | None = None)
         raise ValueError(f"inner_sum_positive: need 1 <= r <= k, got r={r}, k={k}")
     _check_budget("inner_sum_positive", k, budget)
     term = _term_callable(terms)
-    cache: dict[int, Any] = {}
-
-    def value(i: int) -> Any:
-        if i not in cache:
-            cache[i] = term(i)
-        return cache[i]
-
+    values = [term(i) for i in range(1, k - r + 2)]  # parts never exceed k-r+1
     total: Any = None
     for comp in enumerate_compositions(k, r):
         product: Any = None
         for part in comp.parts:
-            product = value(part) if product is None else product * value(part)
+            product = values[part - 1] if product is None else product * values[part - 1]
         total = product if total is None else total + product
     return total
 

@@ -23,7 +23,7 @@ from itertools import product as cartesian_product
 from math import comb
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .compositions import TermSequence, composition_transform
+from .compositions import TermSequence, composition_transform, inner_sum_positive
 from .exact_arith import binomial, format_scalar, multichoose
 from .poly import Polynomial, RationalFunction, poly_binomial, poly_to_json
 from .stirling import check_eq18, check_eq19, check_eq31, check_eq41, stirling1
@@ -353,8 +353,9 @@ def _eval_lemma7(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
     e_seq = [random_rational(rng) for _ in range(k)]
     h_seq = h_from_e_conv(e_seq)
     det_h = h_from_e_det(e_seq)
-    transform_h = composition_transform(
-        TermSequence("rational", lambda i: e_seq[i - 1]), k, budget=ctx.budget
+    transform_h = sum(  # enumerated, so independent of the convolution route
+        (-1) ** (k - r) * inner_sum_positive(lambda i: e_seq[i - 1], k, r, budget=ctx.budget)
+        for r in range(1, k + 1)
     )
     recovered_e = composition_transform(
         TermSequence("rational", lambda i: h_seq[i - 1]), k, budget=ctx.budget

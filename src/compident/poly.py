@@ -237,11 +237,15 @@ class Polynomial:
 _ONE = Polynomial((1,))
 
 
+class InexactDivisionError(ValueError):
+    """exact_div met a remainder: a fault in the caller, not in user input."""
+
+
 def exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
     """Polynomial quotient a / b when the division is exact."""
     q, r = divmod(a, b)
     if not r.is_zero:
-        raise ValueError("inexact polynomial division")
+        raise InexactDivisionError("inexact polynomial division")
     return q
 
 

@@ -1,10 +1,11 @@
 """Elementary <-> complete symmetric-function conversion and pair catalog.
 
 Three independent routes turn a prefix e_1..e_k into h_k (and back): the
-Toeplitz determinant with unit subdiagonal, the quadratic convolution
-recurrence h_m = sum_{i=1}^{m} (-1)**(i-1) e_i h_{m-i}, and the signed
-composition transform from the compositions module.  They are implemented
-separately on purpose so each can validate the others.
+Toeplitz determinant with unit subdiagonal (h_from_e_det), the convolution
+h_m = sum_{i=1}^{m} (-1)**(i-1) e_i h_{m-i} (h_from_e_conv, the recurrence
+that also computes the composition transform), and the enumeration of all
+2**(k-1) compositions (compositions.inner_sum_positive).  They share no code,
+so each can validate the others.
 
 The catalog binds six closed-form (e, h) sequence pairs:
 
@@ -27,6 +28,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Any, Mapping, Sequence
 
+from .compositions import transform_prefix
 from .exact_arith import binomial, multichoose
 from .poly import Polynomial, RationalFunction, exact_div
 
@@ -113,15 +115,7 @@ def h_from_e_conv(e_terms: Sequence[Any]) -> list[Any]:
     """
     if not e_terms:
         raise ValueError("h_from_e_conv: need at least e_1")
-    hs: list[Any] = []
-    for m in range(1, len(e_terms) + 1):
-        total: Any = None
-        for i in range(1, m + 1):
-            product = e_terms[i - 1] if i == m else e_terms[i - 1] * hs[m - i - 1]
-            signed = product if i % 2 else -product
-            total = signed if total is None else total + signed
-        hs.append(total)
-    return hs
+    return transform_prefix(e_terms)
 
 
 _bernoulli_cache: list[Fraction] = [Fraction(1)]

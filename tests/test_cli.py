@@ -201,3 +201,22 @@ def test_failure_exit_code_path(monkeypatch, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    # An inexact division is a ValueError but a fault of the program, so it
+    # must not be reported as a usage error (exit 2).
+    import dataclasses
+
+    import compident.identities as identities
+    from compident.poly import InexactDivisionError
+
+    def broken(params, ctx):
+        raise InexactDivisionError("inexact polynomial division")
+
+    reg = identities._REGISTRY["eq5"]
+    monkeypatch.setitem(identities._REGISTRY, "eq5", dataclasses.replace(reg, evaluate=broken))
+    code = main(["verify", "--id", "eq5", "--k", "1", "--n", "1"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "compident: internal error: inexact polynomial division\n"
