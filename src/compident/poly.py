@@ -1,10 +1,15 @@
 """Dense exact univariate polynomials and reduced rational functions.
 
-Coefficients live in the rational field (``fractions.Fraction``).  A
-polynomial is a coefficient tuple, lowest degree first, with no trailing
-zeros; the zero polynomial is the empty tuple and its degree is the -inf
-sentinel.  Rational functions keep gcd(num, den) == 1 with a monic
-denominator, so equality is structural for them too.
+A polynomial over the rationals is stored as integer numerators over one
+common denominator, as FLINT's ``fmpq_poly`` does: ``_num`` is a tuple of
+ints, lowest degree first, with no trailing zero, and ``_den`` is an int
+> 0 with gcd(_den, *_num) == 1.  The zero polynomial is ``((), 1)`` and its
+degree is the -inf sentinel.  The normal form is unique, so equality and
+hashing are structural, and sums, products, scalar division and division
+with remainder run on Python ints.  ``coeffs`` is the read-only
+``fractions.Fraction`` view; iteration, ``coefficient`` and serialization
+also speak Fractions.  Rational functions keep gcd(num, den) == 1 with a
+monic denominator, so equality is structural for them too.
 """
 
 from __future__ import annotations
@@ -25,44 +30,75 @@ def _coerce_coeff(value: Any) -> Fraction:
     raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
 
 
+def _normal_form(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """(num, den) with no trailing zero and gcd(den, *num) == 1; den > 0."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return (), 1
+    if den != 1:
+        g = int_gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return tuple(num), den
+
+
+def _make(num: list[int], den: int) -> "Polynomial":
+    """The polynomial num / den, skipping the coefficient checks of __init__."""
+    obj = object.__new__(Polynomial)
+    obj._num, obj._den = _normal_form(num, den)
+    return obj
+
+
 class Polynomial:
     """Immutable dense univariate polynomial over the rationals."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[int | Fraction] = ()):
-        items = [_coerce_coeff(c) for c in coeffs]
-        while items and not items[-1]:
-            items.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(items)
+        items = list(coeffs)
+        if all(type(c) is int for c in items):
+            num, den = items, 1
+        else:
+            fracs = [_coerce_coeff(c) for c in items]
+            den = lcm(*(c.denominator for c in fracs)) if fracs else 1
+            num = [c.numerator * (den // c.denominator) for c in fracs]
+        self._num, self._den = _normal_form(num, den)
 
     @classmethod
     def constant(cls, value: int | Fraction) -> "Polynomial":
         return cls((value,))
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, lowest degree first."""
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._num)
+
+    @property
     def degree(self) -> int | float:
         """Degree of the polynomial; -inf for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else -inf
+        return len(self._num) - 1 if self._num else -inf
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
+        if not self._num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._num[-1], self._den)
 
     def coefficient(self, power: int) -> Fraction:
         """Coefficient of x**power (0 outside the stored range)."""
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
+        if 0 <= power < len(self._num):
+            return Fraction(self._num[power], self._den)
         return Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._num)
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.coeffs)
@@ -79,22 +115,29 @@ class Polynomial:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self.coeffs == rhs.coeffs
+        return self._num == rhs._num and self._den == rhs._den
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self._num, self._den))
+
+    def _plus(self, rhs: "Polynomial", sign: int) -> "Polynomial":
+        # self + sign * rhs over the least common denominator
+        da, db = self._den, rhs._den
+        den = lcm(da, db)
+        sa, sb = den // da, sign * (den // db)
+        a, b = self._num, rhs._num
+        out = [c * sa for c in a] if sa != 1 else list(a)
+        if len(out) < len(b):
+            out.extend([0] * (len(b) - len(out)))
+        for i, c in enumerate(b):
+            out[i] += c * sb
+        return _make(out, den)
 
     def __add__(self, other: Any) -> "Polynomial":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        a, b = self.coeffs, rhs.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+        return self._plus(rhs, 1)
 
     __radd__ = __add__
 
@@ -102,10 +145,7 @@ class Polynomial:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        out = list(self.coeffs) + [Fraction(0)] * max(0, len(rhs.coeffs) - len(self.coeffs))
-        for i, c in enumerate(rhs.coeffs):
-            out[i] -= c
-        return Polynomial(out)
+        return self._plus(rhs, -1)
 
     def __rsub__(self, other: Any) -> "Polynomial":
         rhs = self._coerce(other)
@@ -114,28 +154,30 @@ class Polynomial:
         return rhs - self
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return _make([-c for c in self._num], self._den)
 
     def __mul__(self, other: Any) -> "Polynomial":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        if not self.coeffs or not rhs.coeffs:
+        a, b = self._num, rhs._num
+        if not a or not b:
             return Polynomial()
-        if len(rhs.coeffs) == 1:
-            scale = rhs.coeffs[0]
-            return Polynomial(tuple(c * scale for c in self.coeffs))
-        if len(self.coeffs) == 1:
-            scale = self.coeffs[0]
-            return Polynomial(tuple(c * scale for c in rhs.coeffs))
-        out = [Fraction(0)] * (len(self.coeffs) + len(rhs.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(rhs.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return Polynomial(out)
+        if len(b) == 1:
+            scale = b[0]
+            out = [c * scale for c in a]
+        elif len(a) == 1:
+            scale = a[0]
+            out = [c * scale for c in b]
+        else:
+            if len(a) > len(b):
+                a, b = b, a  # the shorter factor drives the outer loop
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        out[j] += x * y
+        return _make(out, self._den * rhs._den)
 
     __rmul__ = __mul__
 
@@ -157,8 +199,10 @@ class Polynomial:
             return NotImplemented
         if scalar == 0:
             raise ZeroDivisionError("division of polynomial by zero scalar")
-        inv = Fraction(1, 1) / scalar
-        return Polynomial(tuple(c * inv for c in self.coeffs))
+        top, bottom = scalar.numerator, scalar.denominator
+        if top < 0:
+            top, bottom = -top, -bottom
+        return _make([c * bottom for c in self._num], self._den * top)
 
     def __divmod__(self, other: Any) -> "tuple[Polynomial, Polynomial]":
         rhs = self._coerce(other)
@@ -166,20 +210,30 @@ class Polynomial:
             return NotImplemented
         if rhs.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        dd = len(rhs.coeffs) - 1
-        if len(self.coeffs) - 1 < dd:
+        b = rhs._num
+        dd = len(b) - 1
+        if len(self._num) - 1 < dd:
             return Polynomial(), self
-        rem = list(self.coeffs)
-        lead = rhs.coeffs[-1]
-        quot = [Fraction(0)] * (len(rem) - dd)
+        # scale * self._num == quot * b + rem, over the integers
+        rem = list(self._num)
+        lead = b[-1]
+        quot = [0] * (len(rem) - dd)
+        scale = 1
         for shift in range(len(quot) - 1, -1, -1):
             c = rem[dd + shift]
             if c:
-                q = c / lead
+                if c % lead:
+                    f = abs(lead) // int_gcd(c, lead)
+                    rem = [x * f for x in rem]
+                    quot = [x * f for x in quot]
+                    scale *= f
+                    c *= f
+                q = c // lead
                 quot[shift] = q
-                for i, dc in enumerate(rhs.coeffs):
-                    rem[shift + i] -= q * dc
-        return Polynomial(quot), Polynomial(rem)
+                for i, y in enumerate(b, shift):
+                    rem[i] -= q * y
+        den = self._den * scale
+        return _make([x * rhs._den for x in quot], den), _make(rem, den)
 
     def __floordiv__(self, other: Any) -> "Polynomial":
         return divmod(self, other)[0]
@@ -210,16 +264,18 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if self.is_zero:
             raise ValueError("zero polynomial cannot be made monic")
-        lead = self.coeffs[-1]
-        if lead == 1:
+        lead = self._num[-1]
+        if lead == self._den:
             return self
-        return self / lead
+        if lead < 0:
+            return _make([-c for c in self._num], -lead)
+        return _make(list(self._num), lead)
 
     def __repr__(self) -> str:
         return f"Polynomial({[format_scalar(c) for c in self.coeffs]})"
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self._num:
             return "0"
         chunks = []
         for power, c in enumerate(self.coeffs):
@@ -247,13 +303,6 @@ def exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
     if not r.is_zero:
         raise InexactDivisionError("inexact polynomial division")
     return q
-
-
-def _integer_coeffs(p: Polynomial) -> list[int]:
-    scale = 1
-    for c in p.coeffs:
-        scale = lcm(scale, c.denominator)
-    return [int(c * scale) for c in p.coeffs]
 
 
 def _primitive(values: list[int]) -> list[int]:
@@ -290,8 +339,9 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor over the rationals.
 
-    Internally clears denominators and runs a primitive-remainder Euclidean
-    sequence on integer coefficients, which keeps intermediate growth tame.
+    Runs a primitive-remainder Euclidean sequence on the integer numerators
+    (the common denominator does not change the gcd), which keeps
+    intermediate growth tame.
     """
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
@@ -299,8 +349,8 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    u = _primitive(_integer_coeffs(a))
-    v = _primitive(_integer_coeffs(b))
+    u = _primitive(list(a._num))
+    v = _primitive(list(b._num))
     if len(u) < len(v):
         u, v = v, u
     while v:

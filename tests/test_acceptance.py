@@ -5,12 +5,14 @@ with `pytest -s`); a failed assertion marks the criterion FAIL.  Time
 bounds are asserted where the criterion states one.
 """
 
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 from compident.compositions import (
     inner_sum_closed_binomial,
@@ -197,11 +199,15 @@ def test_criterion_11_cli_end_to_end():
     """`compident verify --all` exits 0 quickly and reruns byte-identically."""
     with _Criterion(11, "verify --all reproducibility") as c:
         argv = [sys.executable, "-m", "compident", "verify", "--all", "--format", "json"]
-        first = subprocess.run(argv, capture_output=True, text=True, timeout=240)
+        # the child imports this checkout's src, installed or not
+        src_dir = str(Path(__file__).resolve().parent.parent / "src")
+        pythonpath = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=pythonpath)
+        first = subprocess.run(argv, capture_output=True, text=True, timeout=240, env=env)
         assert first.returncode == 0, first.stderr
         lines = first.stdout.splitlines()
         assert len(lines) == 25
-        second = subprocess.run(argv, capture_output=True, text=True, timeout=240)
+        second = subprocess.run(argv, capture_output=True, text=True, timeout=240, env=env)
         assert second.returncode == 0
         assert first.stdout == second.stdout
     assert c.elapsed < 120.0

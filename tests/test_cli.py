@@ -4,13 +4,18 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 from compident.cli import main
 from compident.identities import CaseReport, SuiteReport
 
+# The child `python -m compident` imports this checkout, installed or not.
+SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
+
 
 def run_cli(*argv: str, env: dict | None = None) -> subprocess.CompletedProcess:
-    full_env = dict(os.environ)
+    pythonpath = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
+    full_env = dict(os.environ, PYTHONPATH=pythonpath)
     if env:
         full_env.update(env)
     return subprocess.run(

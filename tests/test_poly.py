@@ -167,6 +167,15 @@ def test_poly_gcd_examples():
         poly_gcd(Polynomial(), Polynomial())
 
 
+def test_poly_gcd_fractional_inputs():
+    # (x-1)(x+2)/3 and (x-1)(x-5)/7: no coefficient of either is an integer
+    a = Polynomial((-2, 1, 1)) / 3
+    b = Polynomial((5, -6, 1)) / 7
+    assert all(c.denominator != 1 for c in a.coeffs + b.coeffs)
+    assert poly_gcd(a, b) == Polynomial((-1, 1))
+    assert poly_gcd(a, a * Polynomial((Fraction(1, 2), 1))) == a.monic()
+
+
 def test_poly_gcd_divides_both_and_is_monic():
     rng = random.Random(11)
     for _ in range(40):
