@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .compositions import (
     BudgetExceededError,
     Composition,
-    TermSequence,
     composition_transform,
     enumerate_all_compositions,
     enumerate_compositions,

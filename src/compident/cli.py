@@ -73,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"seed for random rational bindings (default {DEFAULT_SEED})")
     verify.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, metavar="UINT",
                         help=f"number of random bindings per pair identity (default {DEFAULT_SAMPLES})")
-    verify.add_argument("--jobs", type=int, default=1, metavar="UINT", help="worker count (default 1)")
+    verify.add_argument("--jobs", type=int, default=1, metavar="UINT",
+                        help="accepted for compatibility; cases run in order in one thread")
     verify.add_argument("--format", choices=("json", "text"), default="text")
     verify.add_argument("--timings", action="store_true",
                         help="include wall-clock elapsed_ms in JSON output (breaks byte-identical reruns)")

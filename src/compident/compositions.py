@@ -81,22 +81,6 @@ class Composition:
         return ",".join(map(str, self.parts))
 
 
-@dataclass(frozen=True)
-class TermSequence:
-    """Map from part size (>= 1) to a ring element, tagged with its ring."""
-
-    ring: str
-    term: Callable[[int], Any]
-
-
-def _term_callable(terms: Any) -> Callable[[int], Any]:
-    if isinstance(terms, TermSequence):
-        return terms.term
-    if callable(terms):
-        return terms
-    raise TypeError("terms must be a TermSequence or a callable part-size -> element")
-
-
 def enumerate_compositions(k: int, r: int) -> Iterator[Composition]:
     """Compositions of k with exactly r parts, in lexicographic part order.
 
@@ -171,7 +155,9 @@ def transform_prefix(values: Sequence[Any]) -> list[Any]:
     return ts
 
 
-def composition_transform(terms: Any, k: int, *, budget: int | None = None) -> Any:
+def composition_transform(
+    terms: Callable[[int], Any], k: int, *, budget: int | None = None
+) -> Any:
     """Signed sum of term products over every composition of k.
 
         sum_{r=1}^{k} (-1)**(k-r) sum_{k_1+...+k_r=k, k_i>=1} prod term(k_i)
@@ -181,17 +167,17 @@ def composition_transform(terms: Any, k: int, *, budget: int | None = None) -> A
     if k < 1:
         raise ValueError(f"composition_transform: k must be >= 1, got {k}")
     _check_budget("composition_transform", k, budget)
-    term = _term_callable(terms)
-    return transform_prefix([term(i) for i in range(1, k + 1)])[-1]
+    return transform_prefix([terms(i) for i in range(1, k + 1)])[-1]
 
 
-def inner_sum_positive(terms: Any, k: int, r: int, *, budget: int | None = None) -> Any:
+def inner_sum_positive(
+    terms: Callable[[int], Any], k: int, r: int, *, budget: int | None = None
+) -> Any:
     """Sum of prod term(k_i) over compositions of k with exactly r parts."""
     if r < 1 or r > k:
         raise ValueError(f"inner_sum_positive: need 1 <= r <= k, got r={r}, k={k}")
     _check_budget("inner_sum_positive", k, budget)
-    term = _term_callable(terms)
-    values = [term(i) for i in range(1, k - r + 2)]  # parts never exceed k-r+1
+    values = [terms(i) for i in range(1, k - r + 2)]  # parts never exceed k-r+1
     total: Any = None
     for comp in enumerate_compositions(k, r):
         product: Any = None

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as cartesian_product
 from math import comb
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .compositions import TermSequence, composition_transform, inner_sum_positive
+from .compositions import composition_transform, inner_sum_positive
 from .exact_arith import binomial, format_scalar, multichoose
 from .poly import Polynomial, RationalFunction, poly_binomial, poly_to_json
 from .stirling import check_eq18, check_eq19, check_eq31, check_eq41, stirling1
@@ -193,8 +192,7 @@ def _serialize_value(value: Any) -> str:
 
 def _eval_eq5(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
     k, n = p["k"], p["n"]
-    terms = TermSequence("integer", lambda i: binomial(n, i))
-    lhs = composition_transform(terms, k, budget=ctx.budget)
+    lhs = composition_transform(lambda i: binomial(n, i), k, budget=ctx.budget)
     return lhs, binomial(n + k - 1, k), {}
 
 
@@ -322,8 +320,7 @@ def _eval_eq41(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
 
 def _eval_eq42(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
     k, n = p["k"], p["n"]
-    terms = TermSequence("integer", lambda i: multichoose(n, i))
-    lhs = composition_transform(terms, k, budget=ctx.budget)
+    lhs = composition_transform(lambda i: multichoose(n, i), k, budget=ctx.budget)
     return lhs, binomial(n, k), {}
 
 
@@ -357,9 +354,7 @@ def _eval_lemma7(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
         (-1) ** (k - r) * inner_sum_positive(lambda i: e_seq[i - 1], k, r, budget=ctx.budget)
         for r in range(1, k + 1)
     )
-    recovered_e = composition_transform(
-        TermSequence("rational", lambda i: h_seq[i - 1]), k, budget=ctx.budget
-    )
+    recovered_e = composition_transform(lambda i: h_seq[i - 1], k, budget=ctx.budget)
     lhs = (det_h, transform_h, recovered_e)
     rhs = (h_seq[-1], h_seq[-1], e_seq[-1])
     return lhs, rhs, {}
@@ -376,7 +371,6 @@ _PAIR_KEYS = {
 
 def _pair_evaluator(pair_label: str, direction: str) -> _Evaluator:
     pair_key = _PAIR_KEYS[pair_label]
-    ring = PAIR_RINGS[pair_key]
 
     def evaluate(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
         k = p["k"]
@@ -403,9 +397,7 @@ def _pair_evaluator(pair_label: str, direction: str) -> _Evaluator:
             extras["b"] = format_scalar(b_val)
         e_seq, h_seq = pair_terms(pair_key, binding, k)
         source, target = (e_seq, h_seq) if direction == "eh" else (h_seq, e_seq)
-        lhs = composition_transform(
-            TermSequence(ring, lambda i: source[i - 1]), k, budget=ctx.budget
-        )
+        lhs = composition_transform(lambda i: source[i - 1], k, budget=ctx.budget)
         return lhs, target[k - 1], extras
 
     return evaluate
@@ -784,8 +776,9 @@ def verify_range(
     mappings (each its own grid; this is how the dual pointwise/polynomial
     defaults are expressed), or None for the identity's default grids.
     Combinations outside the identity's domain (for example t > k in a
-    triangular family) are skipped, not errors.  Case order is the
-    documented parameter order and is independent of ``jobs``.
+    triangular family) are skipped, not errors.  Cases run in the
+    documented parameter order, one after another in the calling thread;
+    ``jobs`` is only checked (it must be >= 1) and selects nothing.
     """
     reg = _registration(identity_id)
     if jobs < 1:
@@ -799,18 +792,10 @@ def verify_range(
     else:
         range_dicts = tuple(ranges)
     cases = _case_grid(reg, range_dicts)
-
-    def run(case_params: dict[str, int]) -> CaseReport:
-        return verify_case(
-            identity_id, case_params, seed=seed, a=a, b=b, budget=budget
-        )
-
     start = time.perf_counter()
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(run, cases))
-    else:
-        reports = [run(case_params) for case_params in cases]
+    reports = [
+        verify_case(identity_id, c, seed=seed, a=a, b=b, budget=budget) for c in cases
+    ]
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     failures = [r for r in reports if not r.passed]
     return SuiteReport(

@@ -8,7 +8,6 @@ instantiates cleanly at n = 1) and s(n, t) = 0 outside 1 <= t <= n.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -51,16 +50,16 @@ class StirlingTable:
 
 
 _table = StirlingTable(32)
-_table_lock = threading.Lock()
 
 
 def _shared(n: int) -> StirlingTable:
+    # Returns the table it read or built and never reads the global again, so
+    # a rebind by another thread in between cannot hand back a smaller table.
     global _table
-    if n > _table.n_max:
-        with _table_lock:
-            if n > _table.n_max:
-                _table = StirlingTable(max(n, 2 * _table.n_max))
-    return _table
+    table = _table
+    if n > table.n_max:
+        table = _table = StirlingTable(max(n, 2 * table.n_max))
+    return table
 
 
 def _s(n: int, t: int) -> int:

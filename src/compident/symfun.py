@@ -23,8 +23,8 @@ convention (the bernoulli pair forces it: e_1 must equal h_1 = a/2).
 from __future__ import annotations
 
 import random
-import threading
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 from typing import Any, Mapping, Sequence
 
@@ -118,21 +118,26 @@ def h_from_e_conv(e_terms: Sequence[Any]) -> list[Any]:
     return transform_prefix(e_terms)
 
 
-_bernoulli_cache: list[Fraction] = [Fraction(1)]
-_bernoulli_lock = threading.Lock()
+# The memo tuples below are never mutated: a call that needs more entries
+# extends a private copy and rebinds the global, so a caller on another
+# thread sees either the old tuple or the new one, both correct.
+_bernoulli_cache: tuple[Fraction, ...] = (Fraction(1),)
 
 
 def bernoulli(m: int) -> Fraction:
     """Bernoulli number B_m with B_1 = -1/2, from the recurrence
     sum_{j=0}^{m} C(m+1, j) B_j = 0 seeded with B_0 = 1."""
+    global _bernoulli_cache
     if m < 0:
         raise ValueError(f"bernoulli: m must be >= 0, got {m}")
-    with _bernoulli_lock:
-        while len(_bernoulli_cache) <= m:
-            n = len(_bernoulli_cache)
-            acc = sum(comb(n + 1, j) * bj for j, bj in enumerate(_bernoulli_cache))
-            _bernoulli_cache.append(Fraction(-acc, n + 1))
-        return _bernoulli_cache[m]
+    values = _bernoulli_cache
+    if len(values) <= m:
+        grown = list(values)
+        for n in range(len(grown), m + 1):
+            acc = sum(comb(n + 1, j) * bj for j, bj in enumerate(grown))
+            grown.append(Fraction(-acc, n + 1))
+        values = _bernoulli_cache = tuple(grown)
+    return values[m]
 
 
 def _one_minus_q_pow(m: int) -> Polynomial:
@@ -143,25 +148,24 @@ def _q_pow(m: int) -> Polynomial:
     return Polynomial([0] * m + [1])
 
 
-_phi_cache: list[Polynomial] = [Polynomial((1,))]
-_phi_lock = threading.Lock()
+_phi_cache: tuple[Polynomial, ...] = (Polynomial((1,)),)
 
 
 def phi(k: int) -> Polynomial:
     """Finite product (1-q)(1-q^2)...(1-q^k); phi_0 = 1."""
+    global _phi_cache
     if k < 0:
         raise ValueError(f"phi: k must be >= 0, got {k}")
-    with _phi_lock:
-        while len(_phi_cache) <= k:
-            j = len(_phi_cache)
-            _phi_cache.append(_phi_cache[j - 1] * _one_minus_q_pow(j))
-        return _phi_cache[k]
+    values = _phi_cache
+    if len(values) <= k:
+        grown = list(values)
+        for j in range(len(grown), k + 1):
+            grown.append(grown[j - 1] * _one_minus_q_pow(j))
+        values = _phi_cache = tuple(grown)
+    return values[k]
 
 
-_gaussian_cache: dict[tuple[int, int], Polynomial] = {}
-_gaussian_lock = threading.Lock()
-
-
+@cache
 def gaussian_binomial(n: int, k: int) -> Polynomial:
     """q-binomial coefficient as an exact polynomial in q.
 
@@ -174,16 +178,10 @@ def gaussian_binomial(n: int, k: int) -> Polynomial:
         raise ValueError(f"gaussian_binomial: need n, k >= 0, got n={n}, k={k}")
     if k > n:
         return Polynomial()
-    key = (n, k)
-    with _gaussian_lock:
-        cached = _gaussian_cache.get(key)
-        if cached is not None:
-            return cached
-        result = Polynomial((1,))
-        for j in range(1, k + 1):
-            result = exact_div(result * _one_minus_q_pow(n - k + j), _one_minus_q_pow(j))
-        _gaussian_cache[key] = result
-        return result
+    result = Polynomial((1,))
+    for j in range(1, k + 1):
+        result = exact_div(result * _one_minus_q_pow(n - k + j), _one_minus_q_pow(j))
+    return result
 
 
 def _require_param(params: Mapping[str, Any], name: str, pair_id: str) -> Any:

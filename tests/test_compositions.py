@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from compident.compositions import (
     BudgetExceededError,
     Composition,
-    TermSequence,
     composition_transform,
     enumerate_all_compositions,
     enumerate_compositions,
@@ -128,11 +127,6 @@ def test_composition_transform_examples():
     assert composition_transform(lambda i: multichoose(2, i), 3) == 0
     with pytest.raises(ValueError):
         composition_transform(lambda i: 1, 0)
-
-
-def test_composition_transform_accepts_term_sequence():
-    terms = TermSequence("integer", lambda i: binomial(3, i))
-    assert composition_transform(terms, 2) == binomial(3, 1) ** 2 - binomial(3, 2)
 
 
 def test_transform_brute_force_agreement():

@@ -1,6 +1,7 @@
 """Tests for the identity registry and the verification engine."""
 
 import json
+import threading
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,18 @@ def test_verify_range_jobs_deterministic():
     threaded = verify_range("eq13", {"k": (1, 6), "n": (0, 6)}, jobs=4)
     assert sequential.cases_total == threaded.cases_total == 42
     assert sequential.cases_failed == threaded.cases_failed == 0
+
+
+def test_verify_range_starts_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"verify_range started thread {self.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    grid = {"k": (1, 4), "n": (0, 3)}
+    fanned = verify_range("eq13", grid, jobs=4)
+    serial = verify_range("eq13", grid, jobs=1)
+    assert fanned.cases_total == 16 and fanned.passed
+    assert fanned.to_json(include_timings=False) == serial.to_json(include_timings=False)
 
 
 def test_default_ranges():

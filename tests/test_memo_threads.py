@@ -1,0 +1,68 @@
+"""The lock-free memo caches of symfun and stirling under concurrent callers.
+
+bernoulli, phi and stirling's shared table rebind a module global to a new
+immutable value; gaussian_binomial is a functools.cache.  Library callers may
+share them across threads, so four threads fill them from empty at the same
+time, with the interpreter switching threads as often as it can, and each
+thread's values must equal a single-threaded recomputation.
+"""
+
+import sys
+import threading
+from fractions import Fraction
+
+from compident import stirling, symfun
+from compident.poly import Polynomial
+from compident.stirling import StirlingTable, stirling1
+from compident.symfun import bernoulli, gaussian_binomial, phi
+
+THREADS = 4
+
+
+def _reset_caches(monkeypatch):
+    monkeypatch.setattr(symfun, "_bernoulli_cache", (Fraction(1),))
+    monkeypatch.setattr(symfun, "_phi_cache", (Polynomial((1,)),))
+    monkeypatch.setattr(stirling, "_table", StirlingTable(32))
+    gaussian_binomial.cache_clear()
+
+
+def _compute():
+    return (
+        [bernoulli(m) for m in range(121)],
+        [phi(k) for k in range(41)],
+        [gaussian_binomial(n, k) for n in range(21) for k in range(n + 1)],
+        # n past 32 and 64 makes stirling._shared rebuild the table twice
+        [stirling1(n, t) for n in range(1, 101) for t in range(1, n + 1)],
+    )
+
+
+def test_memo_caches_agree_across_threads(monkeypatch):
+    _reset_caches(monkeypatch)
+    barrier = threading.Barrier(THREADS)
+    results = [None] * THREADS
+    errors = []
+
+    def work(slot):
+        try:
+            barrier.wait()
+            results[slot] = _compute()
+        except BaseException as exc:  # surfaced below, not lost in the thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(slot,)) for slot in range(THREADS)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+    finally:
+        sys.setswitchinterval(interval)
+
+    assert errors == []
+    _reset_caches(monkeypatch)
+    expected = _compute()
+    assert stirling._table.n_max >= 100
+    for got in results:
+        assert got == expected
