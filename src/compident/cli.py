@@ -117,8 +117,11 @@ def _ranges_for(identity_id: str, overrides: dict[str, tuple[int, int]], samples
         (grid for grid in defaults if all(name in grid for name in overrides)), None
     )
     if template is None:
-        names = ", ".join(sorted(overrides))
-        raise DomainError(f"{identity_id}: range flag(s) {names} do not apply to this identity")
+        # e.g. eq29's only default grid is polynomial mode; --n selects its pointwise mode
+        if not set(overrides) <= set(get_descriptor(identity_id).params):
+            names = ", ".join(sorted(overrides))
+            raise DomainError(f"{identity_id}: range flag(s) {names} do not apply to this identity")
+        template = defaults[0]
     merged = dict(template)
     merged.update(overrides)
     return (merged,)

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-
-Scalar = int | Fraction
+from typing import Any
 
 
 def binomial(m: int, k: int) -> int:
@@ -38,15 +37,20 @@ def multichoose(n: int, k: int) -> int:
     return binomial(n + k - 1, k)
 
 
-def falling_factorial(x: Scalar, k: int) -> Scalar:
+def falling_factorial(x: Any, k: int) -> Any:
     """Falling factorial x * (x - 1) * ... * (x - k + 1).
 
-    The empty product (k == 0) is 1.  Exact for int and Fraction inputs.
+    The empty product (k == 0) is the int 1; otherwise the product starts at
+    the first factor x.  Exact in any ring whose elements support ``x - i``
+    and ``*``: int and Fraction points, and a ``poly.Polynomial`` x, which
+    yields the expanded polynomial.
     """
     if k < 0:
         raise ValueError(f"falling_factorial: k must be >= 0, got {k}")
-    result: Scalar = 1
-    for i in range(k):
+    if k == 0:
+        return 1
+    result = x
+    for i in range(1, k):
         result = result * (x - i)
     return result
 

@@ -9,7 +9,9 @@ verification ranges, and a pure evaluator that produces both sides exactly.
 Verification is pointwise (parameters substituted, exact values compared) or
 coefficientwise as polynomial identities in n for eq13, eq29, eq47 (those
 run in polynomial mode whenever no n parameter is supplied) and eq17 (always
-a coefficient comparison).
+a coefficient comparison).  Each of these formulas is written once: ``n`` is
+the bound integer, or else the polynomial x, and the ring of ``n`` picks the
+mode (``_binom`` is ``binomial`` on ints and ``poly_binomial`` otherwise).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from math import comb
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .compositions import composition_transform, inner_sum_positive
-from .exact_arith import binomial, format_scalar, multichoose
+from .exact_arith import binomial, falling_factorial, format_scalar, multichoose
 from .poly import Polynomial, RationalFunction, poly_binomial, poly_to_json
 from .stirling import check_eq18, check_eq19, check_eq31, check_eq41, stirling1
 from .symfun import (
@@ -190,6 +192,15 @@ def _serialize_value(value: Any) -> str:
 # ---------------------------------------------------------------------------
 # Evaluators.  Each returns (lhs, rhs, extra report params).
 
+_N = Polynomial((0, 1))  # n when none is bound: polynomial-in-n mode
+
+
+def _binom(x: int | Polynomial, k: int) -> int | Polynomial:
+    # poly_binomial is read from this module's globals at each call, so a profiler
+    # that rebinds identities.poly_binomial sees every polynomial-mode binomial
+    return binomial(x, k) if isinstance(x, int) else poly_binomial(x, k)
+
+
 def _eval_eq5(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
     k, n = p["k"], p["n"]
     lhs = composition_transform(lambda i: binomial(n, i), k, budget=ctx.budget)
@@ -203,33 +214,16 @@ def _eval_eq6(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
 
 
 def _eval_eq13(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
-    k = p["k"]
-    if "n" in p:
-        n = p["n"]
-        lhs = sum(
-            (-1) ** i * binomial(n * i, k) * comb(k + 1, i + 1) for i in range(1, k + 1)
-        )
-        rhs = (-1) ** k * binomial(n + k - 1, k)
-        return lhs, rhs, {}
-    lhs_poly = Polynomial()
-    for i in range(1, k + 1):
-        term = poly_binomial(Polynomial((0, i)), k) * comb(k + 1, i + 1)
-        lhs_poly = lhs_poly - term if i % 2 else lhs_poly + term
-    rhs_poly = poly_binomial(Polynomial((k - 1, 1)), k)
-    if k % 2:
-        rhs_poly = -rhs_poly
-    return lhs_poly, rhs_poly, {}
+    k, n = p["k"], p.get("n", _N)
+    lhs = sum(_binom(n * i, k) * ((-1) ** i * comb(k + 1, i + 1)) for i in range(1, k + 1))
+    return lhs, (-1) ** k * _binom(n + k - 1, k), {}
 
 
 def _eval_eq17(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
     k = p["k"]
-    lhs_poly = Polynomial()
-    for i in range(1, k + 1):
-        prod = Polynomial((1,))
-        for j in range(k):
-            prod = prod * Polynomial((-j, i))  # factor (i*n - j)
-        term = prod * comb(k + 1, i + 1)
-        lhs_poly = lhs_poly - term if i % 2 else lhs_poly + term
+    lhs_poly = sum(
+        falling_factorial(_N * i, k) * ((-1) ** i * comb(k + 1, i + 1)) for i in range(1, k + 1)
+    )
     lhs = tuple(lhs_poly.coefficient(t) for t in range(k + 1))
     rhs = tuple(
         Fraction(0) if t == 0 else Fraction((-1) ** t * stirling1(k, t))
@@ -249,29 +243,13 @@ def _eval_eq19(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
 
 
 def _eval_eq29(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
-    k = p["k"]
-    if "n" in p:
-        n = p["n"]
-        lhs = sum(
-            (-1) ** i
-            * (binomial((n - 1) * i, k) - binomial(n * i, k))
-            * comb(k + 1, i + 1)
-            for i in range(1, k + 1)
-        )
-        rhs = sum(
-            (-1) ** i * binomial(n * i, k - 1) * comb(k, i + 1) for i in range(1, k)
-        )
-        return lhs, rhs, {}
-    lhs_poly = Polynomial()
-    for i in range(1, k + 1):
-        diff = poly_binomial(Polynomial((-i, i)), k) - poly_binomial(Polynomial((0, i)), k)
-        term = diff * comb(k + 1, i + 1)
-        lhs_poly = lhs_poly - term if i % 2 else lhs_poly + term
-    rhs_poly = Polynomial()
-    for i in range(1, k):
-        term = poly_binomial(Polynomial((0, i)), k - 1) * comb(k, i + 1)
-        rhs_poly = rhs_poly - term if i % 2 else rhs_poly + term
-    return lhs_poly, rhs_poly, {}
+    k, n = p["k"], p.get("n", _N)
+    lhs = sum(
+        (_binom((n - 1) * i, k) - _binom(n * i, k)) * ((-1) ** i * comb(k + 1, i + 1))
+        for i in range(1, k + 1)
+    )
+    rhs = sum(_binom(n * i, k - 1) * ((-1) ** i * comb(k, i + 1)) for i in range(1, k))
+    return lhs, rhs, {}
 
 
 def _eval_eq31(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
@@ -325,23 +303,11 @@ def _eval_eq42(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
 
 
 def _eval_eq47(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
-    k = p["k"]
-    if "n" in p:
-        n = p["n"]
-        lhs = sum(
-            (-1) ** i * binomial(n * i + k - 1, k) * comb(k + 1, i + 1)
-            for i in range(1, k + 1)
-        )
-        rhs = (-1) ** k * binomial(n, k)
-        return lhs, rhs, {}
-    lhs_poly = Polynomial()
-    for i in range(1, k + 1):
-        term = poly_binomial(Polynomial((k - 1, i)), k) * comb(k + 1, i + 1)
-        lhs_poly = lhs_poly - term if i % 2 else lhs_poly + term
-    rhs_poly = poly_binomial(Polynomial((0, 1)), k)
-    if k % 2:
-        rhs_poly = -rhs_poly
-    return lhs_poly, rhs_poly, {}
+    k, n = p["k"], p.get("n", _N)
+    lhs = sum(
+        _binom(n * i + k - 1, k) * ((-1) ** i * comb(k + 1, i + 1)) for i in range(1, k + 1)
+    )
+    return lhs, (-1) ** k * _binom(n, k), {}
 
 
 def _eval_lemma7(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
@@ -807,18 +773,14 @@ def verify_range(
     )
 
 
-_POLYNOMIAL_IDS = ("eq13", "eq29", "eq47")
+def verify_polynomial_in_n(identity_id: str, k: int) -> CaseReport:
+    """Coefficientwise comparison of both sides as polynomials in n.
 
-
-def verify_polynomial_in_n(
-    identity_id: str, k: int, *, budget: int | None = None
-) -> CaseReport:
-    """Coefficientwise comparison of both sides as polynomials in n."""
-    if identity_id not in _POLYNOMIAL_IDS:
-        raise DomainError(
-            f"{identity_id!r} has no polynomial mode (supported: {', '.join(_POLYNOMIAL_IDS)})"
-        )
-    return verify_case(identity_id, {"k": k}, budget=budget)
+    Open to every identity whose descriptor lists the polynomial_in_n mode.
+    """
+    if "polynomial_in_n" not in get_descriptor(identity_id).modes:
+        raise DomainError(f"{identity_id!r} has no polynomial_in_n mode")
+    return verify_case(identity_id, {"k": k})
 
 
 def check_eq17_coefficients(k: int) -> CaseReport:

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import comb, factorial, gcd as int_gcd, inf, lcm
 from typing import Any, Iterable, Iterator
 
-from .exact_arith import Scalar, format_scalar
+from .exact_arith import falling_factorial, format_scalar
 
 
 def _coerce_coeff(value: Any) -> Fraction:
@@ -108,7 +108,7 @@ class Polynomial:
         if isinstance(other, Polynomial):
             return other
         if isinstance(other, (int, Fraction)):
-            return Polynomial((other,))
+            return _make([other.numerator], other.denominator)
         return None
 
     def __eq__(self, other: Any) -> bool:
@@ -241,25 +241,18 @@ class Polynomial:
     def __mod__(self, other: Any) -> "Polynomial":
         return divmod(self, other)[1]
 
-    def __call__(self, x: Scalar) -> Scalar:
-        """Evaluate exactly at an integer or rational point (Horner)."""
-        result: Scalar = 0
+    def __call__(self, x: Any) -> Any:
+        """Evaluate exactly at an integer, rational or polynomial x (Horner)."""
+        result: Any = 0
         for c in reversed(self.coeffs):
             result = result * x + c
         return result
 
     def shifted(self, offset: int | Fraction) -> "Polynomial":
-        """Argument translation: the polynomial of x + offset."""
-        off = _coerce_coeff(offset)
-        result: list[Fraction] = []
-        for c in reversed(self.coeffs):
-            nxt = [Fraction(0)] * (len(result) + 1)
-            for i, rc in enumerate(result):
-                nxt[i + 1] += rc
-                nxt[i] += rc * off
-            nxt[0] += c
-            result = nxt
-        return Polynomial(result)
+        """Argument translation: this polynomial evaluated at x + offset."""
+        if not self._num:
+            return self  # Horner's empty sum would be the int 0
+        return self(Polynomial((offset, 1)))
 
     def monic(self) -> "Polynomial":
         if self.is_zero:
@@ -291,6 +284,7 @@ class Polynomial:
 
 
 _ONE = Polynomial((1,))
+_X = Polynomial((0, 1))
 
 
 class InexactDivisionError(ValueError):
@@ -359,23 +353,26 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def falling_factorial_poly(k: int) -> Polynomial:
-    """The expanded product x (x - 1) ... (x - k + 1); requires k >= 1."""
+    """The expanded product x (x - 1) ... (x - k + 1); requires k >= 1.
+
+    This is ``exact_arith.falling_factorial`` at the polynomial x.
+    """
     if k < 1:
         raise ValueError(f"falling_factorial_poly: k must be >= 1, got {k}")
-    result = Polynomial((0, 1))
-    for j in range(1, k):
-        result = result * Polynomial((-j, 1))
-    return result
+    return falling_factorial(_X, k)
 
 
 def poly_binomial(p: Polynomial, k: int) -> Polynomial:
-    """C(p(x), k) expanded as a polynomial: p (p - 1) ... (p - k + 1) / k!."""
+    """C(p(x), k) expanded as a polynomial: p (p - 1) ... (p - k + 1) / k!.
+
+    This is ``exact_arith.falling_factorial`` at the polynomial p, over k!;
+    C(p, 0) is the constant polynomial 1.
+    """
     if k < 0:
         raise ValueError(f"poly_binomial: k must be >= 0, got {k}")
-    result = _ONE
-    for j in range(k):
-        result = result * (p - j)
-    return result / factorial(k)
+    if k == 0:
+        return _ONE
+    return falling_factorial(p, k) / factorial(k)
 
 
 def finite_difference(p: Polynomial, m: int) -> Polynomial:

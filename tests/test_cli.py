@@ -46,6 +46,20 @@ def test_verify_single_value_span():
     assert json.loads(result.stdout)["cases"] == 1
 
 
+def test_verify_eq29_pointwise_spans():
+    # eq29's only default grid is polynomial mode (k alone); --n selects pointwise mode
+    result = run_cli("verify", "--id", "eq29", "--k", "2..5", "--n", "0..3", "--format", "json")
+    assert result.returncode == 0, result.stderr
+    payload = json.loads(result.stdout)
+    assert payload["cases"] == 16 and payload["failed"] == 0
+
+
+def test_verify_span_flag_outside_params_exits_2():
+    result = run_cli("verify", "--id", "eq17", "--n", "0..3")
+    assert result.returncode == 2
+    assert "do not apply" in result.stderr
+
+
 def test_verify_timings_flag():
     result = run_cli("verify", "--id", "eq17", "--k", "1..3", "--format", "json", "--timings")
     assert result.returncode == 0

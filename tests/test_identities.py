@@ -27,6 +27,7 @@ from compident.identities import (
     verify_polynomial_in_n,
     verify_range,
 )
+from compident.poly import poly_from_json
 
 EXPECTED_IDS = [
     "eq5", "eq6", "eq13", "eq17", "eq18", "eq19", "eq29", "eq31", "eq36",
@@ -194,6 +195,27 @@ def test_pointwise_and_polynomial_modes_agree():
     assert verify_range("eq13", {"k": (1, 12), "n": (0, 12)}).cases_failed == 0
     assert verify_range("eq47", {"k": (1, 12), "n": (0, 12)}).cases_failed == 0
     assert verify_range("eq29", {"k": (2, 12), "n": (0, 12)}).cases_failed == 0
+
+
+@pytest.mark.parametrize("identity_id, k_lo", [("eq13", 1), ("eq29", 2), ("eq47", 1)])
+def test_polynomial_mode_evaluates_to_pointwise_values(identity_id, k_lo):
+    # each side of the polynomial-in-n report, evaluated at n, is the pointwise side
+    for k in range(k_lo, 13):
+        poly_case = verify_polynomial_in_n(identity_id, k)
+        lhs_poly = poly_from_json(json.loads(poly_case.lhs))
+        rhs_poly = poly_from_json(json.loads(poly_case.rhs))
+        for n in range(13):
+            point = verify_case(identity_id, {"k": k, "n": n})
+            assert lhs_poly(n) == Fraction(point.lhs), (identity_id, k, n)
+            assert rhs_poly(n) == Fraction(point.rhs), (identity_id, k, n)
+
+
+def test_verify_polynomial_in_n_follows_descriptor_modes():
+    assert verify_polynomial_in_n("eq17", 4).to_json() == check_eq17_coefficients(4).to_json()
+    with pytest.raises(DomainError, match="no polynomial_in_n mode"):
+        verify_polynomial_in_n("eq42", 3)
+    with pytest.raises(UnknownIdentityError):
+        verify_polynomial_in_n("eq999", 3)
 
 
 def test_eq17_coefficients():

@@ -7,7 +7,7 @@ from math import inf
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compident.exact_arith import binomial
+from compident.exact_arith import binomial, falling_factorial
 from compident.poly import (
     Polynomial,
     RationalFunction,
@@ -70,6 +70,23 @@ def test_shifted_agrees_with_evaluation(p, c):
     shifted = p.shifted(c)
     for x in (-2, 0, 3, Fraction(1, 2)):
         assert shifted(x) == p(x + c)
+
+
+def test_shifted_returns_a_polynomial():
+    assert Polynomial().shifted(3) == Polynomial()
+    assert isinstance(Polynomial().shifted(3), Polynomial)
+    assert isinstance(Polynomial((5,)).shifted(2), Polynomial)
+    assert Polynomial((0, 0, 1)).shifted(Fraction(1, 2)) == Polynomial((Fraction(1, 4), 1, 1))
+
+
+@given(st_poly, st.integers(1, 6))
+@settings(max_examples=40)
+def test_falling_factorial_at_a_polynomial_is_pointwise(p, k):
+    # the one falling-factorial loop, run in the polynomial ring
+    expanded = falling_factorial(p, k)
+    assert isinstance(expanded, Polynomial)
+    for x in (-2, 0, 3, Fraction(1, 2)):
+        assert expanded(x) == falling_factorial(p(x), k)
 
 
 def test_divmod_invariant():
