@@ -18,6 +18,7 @@ from .compositions import (
     inner_sum_closed_binomial,
     inner_sum_closed_multichoose,
     inner_sum_positive,
+    transform_by_enumeration,
 )
 from .exact_arith import binomial, falling_factorial, format_scalar, multichoose, parse_rational
 from .identities import (

@@ -24,7 +24,7 @@ from itertools import product as cartesian_product
 from math import comb
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .compositions import composition_transform, inner_sum_positive
+from .compositions import composition_transform, transform_by_enumeration
 from .exact_arith import binomial, falling_factorial, format_scalar, multichoose
 from .poly import Polynomial, RationalFunction, poly_binomial, poly_to_json
 from .stirling import check_eq18, check_eq19, check_eq31, check_eq41, stirling1
@@ -316,10 +316,8 @@ def _eval_lemma7(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
     e_seq = [random_rational(rng) for _ in range(k)]
     h_seq = h_from_e_conv(e_seq)
     det_h = h_from_e_det(e_seq)
-    transform_h = sum(  # enumerated, so independent of the convolution route
-        (-1) ** (k - r) * inner_sum_positive(lambda i: e_seq[i - 1], k, r, budget=ctx.budget)
-        for r in range(1, k + 1)
-    )
+    # enumerated, so independent of the convolution route
+    transform_h = transform_by_enumeration(lambda i: e_seq[i - 1], k, budget=ctx.budget)
     recovered_e = composition_transform(lambda i: h_seq[i - 1], k, budget=ctx.budget)
     lhs = (det_h, transform_h, recovered_e)
     rhs = (h_seq[-1], h_seq[-1], e_seq[-1])

@@ -288,7 +288,7 @@ _X = Polynomial((0, 1))
 
 
 class InexactDivisionError(ValueError):
-    """exact_div met a remainder: a fault in the caller, not in user input."""
+    """An exact division met a remainder: a fault in compident, not in user input."""
 
 
 def exact_div(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -4,8 +4,9 @@ Three independent routes turn a prefix e_1..e_k into h_k (and back): the
 Toeplitz determinant with unit subdiagonal (h_from_e_det), the convolution
 h_m = sum_{i=1}^{m} (-1)**(i-1) e_i h_{m-i} (h_from_e_conv, the recurrence
 that also computes the composition transform), and the enumeration of all
-2**(k-1) compositions (compositions.inner_sum_positive).  They share no code,
-so each can validate the others.
+2**(k-1) compositions (compositions.transform_by_enumeration).  They share no
+code, so each can validate the others.  q-binomials are built on int
+coefficient lists by one linear pass per factor (gaussian_binomial).
 
 The catalog binds six closed-form (e, h) sequence pairs:
 
@@ -24,13 +25,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial
 from typing import Any, Mapping, Sequence
 
 from .compositions import transform_prefix
 from .exact_arith import binomial, multichoose
-from .poly import Polynomial, RationalFunction, exact_div
+from .poly import InexactDivisionError, Polynomial, RationalFunction
 
 DEFAULT_SEED = 1729
 
@@ -165,23 +167,31 @@ def phi(k: int) -> Polynomial:
     return values[k]
 
 
-@cache
+@lru_cache(maxsize=1024)
 def gaussian_binomial(n: int, k: int) -> Polynomial:
     """q-binomial coefficient as an exact polynomial in q.
 
-    Computed by the exact-division product
-    prod_{j=1}^{k} (1 - q**(n-k+j)) / (1 - q**j); every partial product is
-    itself a q-binomial, so each division is exact.  Zero polynomial when
-    k > n; degree k (n - k) otherwise.
+    Computed on an int coefficient list by the product
+    prod_{j=1}^{k} (1 - q**(n-k+j)) / (1 - q**j): multiplying by (1 - q**m)
+    is one subtract-shifted pass, and dividing by (1 - q**j) is one running
+    sum along each residue class mod j.  Every partial product is itself a
+    q-binomial, so each division is exact.  Zero polynomial when k > n;
+    degree k (n - k) otherwise.  Results are cached, at most 1024 of them.
     """
     if n < 0 or k < 0:
         raise ValueError(f"gaussian_binomial: need n, k >= 0, got n={n}, k={k}")
     if k > n:
         return Polynomial()
-    result = Polynomial((1,))
+    coeffs = [1]
     for j in range(1, k + 1):
-        result = exact_div(result * _one_minus_q_pow(n - k + j), _one_minus_q_pow(j))
-    return result
+        m = n - k + j
+        coeffs = [a - b for a, b in zip(coeffs + [0] * m, [0] * m + coeffs)]
+        for residue in range(j):
+            coeffs[residue::j] = accumulate(coeffs[residue::j])
+        if any(coeffs[-j:]):
+            raise InexactDivisionError(f"gaussian_binomial({n}, {k}): inexact at j={j}")
+        del coeffs[-j:]
+    return Polynomial(coeffs)
 
 
 def _require_param(params: Mapping[str, Any], name: str, pair_id: str) -> Any:

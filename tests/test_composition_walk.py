@@ -1,0 +1,155 @@
+"""The prefix-sharing composition walk and the algebra of the transform.
+
+part_count_sums and transform_by_enumeration walk every composition of k
+once, sharing prefix products and, for Fraction terms, running on integer
+numerators over one common denominator.  They are checked against a
+test-local per-r reference that multiplies out each composition from
+enumerate_compositions, on int, Fraction, Polynomial and RationalFunction
+terms.
+
+The transform is E(t) -> 1/E(-t) on the group 1 + tR[[t]], so it is an
+involution and it is multiplicative for the Cauchy product of the
+1 + sum a_k t^k series; both are checked on random rational sequences,
+through the recurrence and through the walk.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from compident.compositions import (
+    enumerate_compositions,
+    inner_sum_positive,
+    part_count_sums,
+    transform_by_enumeration,
+    transform_prefix,
+)
+from compident.symfun import DEFAULT_SEED, pair_terms, random_rational, seeded_rng
+
+
+def reference_sums(values, k):
+    """[S_1, ..., S_k], each composition of k multiplied out on its own."""
+    sums = []
+    for r in range(1, k + 1):
+        total = None
+        for comp in enumerate_compositions(k, r):
+            product = None
+            for part in comp.parts:
+                term = values[part - 1]
+                product = term if product is None else product * term
+            total = product if total is None else total + product
+        sums.append(total)
+    return sums
+
+
+def reference_transform(values, k):
+    total = None
+    for r, s in enumerate(reference_sums(values, k), 1):
+        signed = s if (k - r) % 2 == 0 else -s
+        total = signed if total is None else total + signed
+    return total
+
+
+def check_walk(values):
+    k = len(values)
+    expected = reference_sums(values, k)
+    got = part_count_sums(values, k)
+    assert got == expected
+    assert [type(s) for s in got] == [type(s) for s in expected]
+    total = transform_by_enumeration(lambda i: values[i - 1], k)
+    assert total == reference_transform(values, k)
+    assert type(total) is type(values[0])
+    for r in range(1, k + 1):
+        assert inner_sum_positive(lambda i: values[i - 1], k, r) == expected[r - 1]
+
+
+@given(
+    st.lists(
+        st.fractions(min_value=-10**3, max_value=10**3, max_denominator=10**6),
+        min_size=1,
+        max_size=12,
+    )
+)
+@settings(max_examples=40, deadline=None, derandomize=True)  # k = 12 multiplies out 2048
+def test_walk_matches_reference_on_fractions(values):
+    check_walk(values)
+
+
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_walk_matches_reference_on_ints(values):
+    check_walk(values)
+
+
+def _q_pair_lists(k):
+    rng = seeded_rng(DEFAULT_SEED, "composition-walk")
+    for n in (0, 2, rng.randint(3, 6)):
+        yield from pair_terms("q_binomial", {"n": n}, k)
+    for _ in range(2):
+        a = random_rational(rng)
+        b = random_rational(rng)
+        while b == a:
+            b = random_rational(rng)
+        yield from pair_terms("q_cauchy", {"a": a, "b": b}, k)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_walk_matches_reference_on_q_pairs(k):
+    for values in _q_pair_lists(k):
+        check_walk(values)
+
+
+def test_inner_sum_positive_reads_only_parts_an_r_part_composition_has():
+    for k in range(1, 9):
+        for r in range(1, k + 1):
+            seen = []
+
+            def term(i):
+                seen.append(i)
+                return Fraction(i, i + 1)
+
+            inner_sum_positive(term, k, r)
+            assert max(seen) == k - r + 1
+
+
+def test_mixed_int_and_fraction_terms_keep_the_product_types():
+    # part 2 is an int, so the two-part bucket of k = 4 mixes the 1+3, 2+2, 3+1 products
+    values = [Fraction(1, 2), 3, Fraction(5, 7), 2]
+    check_walk(values)
+    assert type(part_count_sums(values, 4)[0]) is int  # the single part 4 -> values[3]
+
+
+def by_recurrence(values):
+    return transform_prefix(values)
+
+
+def by_walk(values):
+    term = lambda i: values[i - 1]
+    return [transform_by_enumeration(term, k) for k in range(1, len(values) + 1)]
+
+
+def cauchy_product(a, b):
+    """Coefficients 1..K of (1 + sum a_k t^k)(1 + sum b_k t^k)."""
+    a = [1, *a]
+    b = [1, *b]
+    return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(1, len(a))]
+
+
+st_sequence = st.lists(
+    st.fractions(min_value=-20, max_value=20, max_denominator=50), min_size=10, max_size=10
+)
+
+
+@pytest.mark.parametrize("transform", [by_recurrence, by_walk])
+@given(st_sequence)
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_transform_is_an_involution(transform, values):
+    assert transform(transform(values)) == values
+
+
+@pytest.mark.parametrize("transform", [by_recurrence, by_walk])
+@given(st_sequence, st_sequence)
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_transform_is_multiplicative(transform, a, b):
+    assert transform(cauchy_product(a, b)) == cauchy_product(transform(a), transform(b))

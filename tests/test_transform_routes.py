@@ -2,14 +2,16 @@
 
 composition_transform and h_from_e_conv share one O(k^2) recurrence, so each
 is checked against a route that shares no code with it: the literal signed
-sum over all 2^(k-1) compositions (through inner_sum_positive), and the
-Toeplitz determinant.
+sum over all 2^(k-1) compositions (transform_by_enumeration, the
+prefix-sharing walk that lemma7_roundtrip also runs), and the Toeplitz
+determinant.  tests/test_composition_walk.py checks the walk itself against
+compositions multiplied out one by one.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compident.compositions import composition_transform, inner_sum_positive
+from compident.compositions import composition_transform, transform_by_enumeration
 from compident.poly import Polynomial, RationalFunction
 from compident.symfun import (
     DEFAULT_SEED,
@@ -23,8 +25,7 @@ from compident.symfun import (
 
 def enumerated_transform(values, k):
     """sum_r (-1)^(k-r) sum over compositions of k with r parts of prod term(k_i)."""
-    term = lambda i: values[i - 1]
-    return sum((-1) ** (k - r) * inner_sum_positive(term, k, r) for r in range(1, k + 1))
+    return transform_by_enumeration(lambda i: values[i - 1], k)
 
 
 # every example carries all twelve terms, so each one checks every k <= 12
