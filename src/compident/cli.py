@@ -34,6 +34,7 @@ from .identities import (
     default_ranges,
     get_descriptor,
     list_identities,
+    pair_rationals,
     verify_range,
 )
 from .poly import InexactDivisionError, poly_to_json
@@ -48,11 +49,6 @@ EXIT_INTERNAL = 3
 _SPAN_FLAGS = ("k", "n", "t", "x")
 
 _JSON_SEPARATORS = (",", ":")
-
-# identities whose random binding disappears once --a (and --b) pin it
-_PAIR_A_ONLY = frozenset({"pair1_eh", "pair1_he", "pair2_eh", "pair2_he"})
-_PAIR_A_AND_B = frozenset({"pair5_eh", "pair5_he"})
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -159,16 +155,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise DomainError(f"--jobs must be >= 1, got {args.jobs}")
     a = parse_rational(args.a) if args.a is not None else None
     b = parse_rational(args.b) if args.b is not None else None
+    pinned = {"a": a, "b": b}
     ids = [args.identity_id] if args.identity_id else [d.id for d in list_identities()]
     exit_code = EXIT_OK
     for identity_id in ids:
-        get_descriptor(identity_id)  # fail fast on unknown ids
-        samples = args.samples
-        # an explicit binding makes extra samples redundant duplicates
-        if identity_id in _PAIR_A_ONLY and a is not None:
-            samples = 1
-        elif identity_id in _PAIR_A_AND_B and a is not None and b is not None:
-            samples = 1
+        # fails fast on unknown ids.  Once every rational the identity draws is
+        # pinned, further samples would repeat the first (no draws: no samples).
+        drawn = pair_rationals(identity_id)
+        samples = 1 if all(pinned[name] is not None for name in drawn) else args.samples
         ranges = _ranges_for(identity_id, overrides, samples)
         report = verify_range(
             identity_id,

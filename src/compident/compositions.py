@@ -20,8 +20,8 @@ Two independent routes check it: symfun's Toeplitz determinant, and the
 literal enumeration (transform_by_enumeration).  The enumeration is one
 depth-first walk over all 2**(k-1) compositions that forms each prefix
 product once and adds each composition into a bucket S_r by its part count
-r (part_count_sums, which inner_sum_positive reads); Fraction terms walk as
-integer numerators over the lcm of their denominators.
+r (part_count_sums; inner_sum_positive stops it at r parts); Fraction terms
+walk as integer numerators over the lcm of their denominators.
 """
 
 from __future__ import annotations
@@ -135,16 +135,8 @@ def enumerate_weak_compositions(k: int, r: int) -> Iterator[tuple[int, ...]]:
         raise ValueError(f"enumerate_weak_compositions: k must be >= 0, got {k}")
     if r < 1:
         raise ValueError(f"enumerate_weak_compositions: r must be >= 1, got {r}")
-    return _weak_parts(k, r)
-
-
-def _weak_parts(remaining: int, slots: int) -> Iterator[tuple[int, ...]]:
-    if slots == 1:
-        yield (remaining,)
-        return
-    for first in range(remaining + 1):
-        for rest in _weak_parts(remaining - first, slots - 1):
-            yield (first, *rest)
+    # one less per part maps the r-part compositions of k + r onto these, in order
+    return (tuple(part - 1 for part in parts) for parts in _positive_parts(k + r, r))
 
 
 def transform_prefix(values: Sequence[Any]) -> list[Any]:
@@ -182,12 +174,13 @@ def inner_sum_positive(
     """Sum of prod term(k_i) over compositions of k with exactly r parts.
 
     Read as S_r from one ``part_count_sums`` walk over the compositions of k
-    with parts at most k-r+1, the largest part an r-part composition has.
+    with at most r parts, each at most k-r+1, the largest part an r-part
+    composition has.
     """
     if r < 1 or r > k:
         raise ValueError(f"inner_sum_positive: need 1 <= r <= k, got r={r}, k={k}")
     _check_budget("inner_sum_positive", k, budget)
-    return part_count_sums([terms(i) for i in range(1, k - r + 2)], k)[r - 1]
+    return part_count_sums([terms(i) for i in range(1, k - r + 2)], k, r)[r - 1]
 
 
 def transform_by_enumeration(
@@ -197,71 +190,58 @@ def transform_by_enumeration(
     sum_r (-1)**(k-r) S_r over all 2**(k-1) compositions of k.
 
     Shares no code with ``transform_prefix``, so it checks the recurrence
-    independently.  For Fraction terms the walk runs on integer numerators
-    over L = lcm of the denominators, and one Fraction
-    sum_r (-1)**(k-r) S_r L**(k-r) / L**k is built at the end.
+    independently.
     """
     if k < 1:
         raise ValueError(f"transform_by_enumeration: k must be >= 1, got {k}")
     _check_budget("transform_by_enumeration", k, budget)
-    values = [terms(i) for i in range(1, k + 1)]
-    scaled = _integer_numerators(values)
-    if scaled is not None:
-        numerators, scale = scaled
-        sums = _walk(numerators, k)
-        return Fraction(
-            sum(s * (-scale) ** (k - r) for r, s in enumerate(sums, 1)), scale**k
-        )
     total: Any = None
-    for r, s in enumerate(_walk(values, k), 1):
+    for r, s in enumerate(part_count_sums([terms(i) for i in range(1, k + 1)], k), 1):
         signed = s if (k - r) % 2 == 0 else -s
         total = signed if total is None else total + signed
     return total
 
 
-def part_count_sums(values: Sequence[Any], k: int) -> list[Any]:
-    """[S_1, ..., S_k] over the compositions of k with parts at most
-    len(values): S_r sums prod values[k_i - 1] over those with r parts, and
-    is 0 when there are none.
+def part_count_sums(values: Sequence[Any], k: int, most: int | None = None) -> list[Any]:
+    """[S_1, ..., S_most] (most defaults to k) over the compositions of k
+    with parts at most len(values): S_r sums prod values[k_i - 1] over those
+    with r parts, and is 0 when there are none.  The walk stops at ``most``
+    parts, so it visits at most sum_{r<=most} C(k-1, r-1) of the 2**(k-1)
+    compositions.
 
     Int terms walk in int arithmetic.  Fraction terms walk on their integer
     numerators over L = lcm of the denominators, and S_r is the Fraction
     bucket / L**r.  Other rings, and lists that mix types, walk unscaled, so
     every S_r has the type the products give.
     """
-    scaled = _integer_numerators(values)
-    if scaled is None:
-        return _walk(values, k)
-    numerators, scale = scaled
-    return [Fraction(s, scale**r) for r, s in enumerate(_walk(numerators, k), 1)]
-
-
-def _integer_numerators(values: Sequence[Any]) -> tuple[list[int], int] | None:
-    """([v * L for v in values], L), L the lcm of the denominators, when
-    every value is a Fraction; None otherwise."""
+    most = k if most is None else most
     if any(type(v) is not Fraction for v in values):
-        return None
+        return _walk(values, k, most)
     scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
+    numerators = [v.numerator * (scale // v.denominator) for v in values]
+    return [Fraction(s, scale**r) for r, s in enumerate(_walk(numerators, k, most), 1)]
 
 
-def _walk(values: Sequence[Any], k: int) -> list[Any]:
-    """[S_1, ..., S_k] by one depth-first walk over the compositions of k
-    with parts at most len(values).  Each prefix product is formed once and
-    shared by every composition that starts with it, and each composition's
-    product is added into the bucket of its part count."""
+def _walk(values: Sequence[Any], k: int, most: int) -> list[Any]:
+    """[S_1, ..., S_most] by one depth-first walk over the compositions of k
+    with at most ``most`` parts, each at most len(values).  Each prefix
+    product is formed once and shared by every composition that starts with
+    it, and each composition's product is added into the bucket of its part
+    count."""
     largest = len(values)
-    sums: list[Any] = [0] * (k + 1)
+    sums: list[Any] = [0] * (most + 1)
 
     def descend(remaining: int, count: int, prefix: Any) -> None:
         # prefix is the product of the first count - 1 parts
-        for part in range(1, min(remaining, largest + 1)):
-            descend(remaining - part, count + 1, prefix * values[part - 1])
+        if count < most:
+            for part in range(1, min(remaining, largest + 1)):
+                descend(remaining - part, count + 1, prefix * values[part - 1])
         if remaining <= largest:
             sums[count] += prefix * values[remaining - 1]
 
-    for first in range(1, min(k, largest + 1)):
-        descend(k - first, 2, values[first - 1])
+    if most > 1:
+        for first in range(1, min(k, largest + 1)):
+            descend(k - first, 2, values[first - 1])
     if k <= largest:
         sums[1] += values[k - 1]
     return sums[1:]

@@ -55,7 +55,7 @@ def falling_factorial(x: Any, k: int) -> Any:
     return result
 
 
-def format_scalar(value: Scalar) -> str:
+def format_scalar(value: int | Fraction) -> str:
     """Serialize a scalar: decimal string, or "num/den" when den > 1."""
     if isinstance(value, Fraction):
         if value.denominator == 1:

@@ -5,6 +5,11 @@ binomial/Stirling/Rothe-Hagen family, lemma7_roundtrip for the generic
 three-route agreement, pair1_eh ... pair5_he for the sequence-pair catalog).
 Each entry knows its formula statement, ring, parameter domain, default
 verification ranges, and a pure evaluator that produces both sides exactly.
+The pair entries come from one table, ``_PAIRS``, with a row per (e, h)
+pair: its pair_terms id, ring, e_k and h_k statements, the rationals (a, b)
+it draws per sample, and its integer parameters' spans.  Both directions
+are registered from the row, and the CLI asks ``pair_rationals`` which
+bindings an explicit --a/--b pins.
 
 Verification is pointwise (parameters substituted, exact values compared) or
 coefficientwise as polynomial identities in n for eq13, eq29, eq47 (those
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as cartesian_product
 from math import comb
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .compositions import composition_transform, transform_by_enumeration
 from .exact_arith import binomial, falling_factorial, format_scalar, multichoose
@@ -30,7 +35,6 @@ from .poly import Polynomial, RationalFunction, poly_binomial, poly_to_json
 from .stirling import check_eq18, check_eq19, check_eq31, check_eq41, stirling1
 from .symfun import (
     DEFAULT_SEED,
-    PAIR_RINGS,
     h_from_e_conv,
     h_from_e_det,
     pair_terms,
@@ -136,8 +140,15 @@ class _Registration:
     descriptor: IdentityDescriptor
     valid: Callable[[Mapping[str, int]], bool]
     evaluate: _Evaluator
-    default_ranges: Callable[[int], tuple[_RangeDict, ...]]
-    optional_params: frozenset[str] = frozenset()
+    grids: tuple[_RangeDict, ...]
+    rationals: tuple[str, ...]  # pair rationals drawn per sample
+
+    @property
+    def optional_params(self) -> frozenset[str]:
+        # a formula run in both modes binds an omitted n to the polynomial x
+        if {"pointwise", "polynomial_in_n"} <= set(self.descriptor.modes):
+            return frozenset({"n"})
+        return frozenset()
 
 
 _REGISTRY: dict[str, _Registration] = {}
@@ -152,8 +163,8 @@ def _register(
     domain: str,
     valid: Callable[[Mapping[str, int]], bool],
     evaluate: _Evaluator,
-    default_ranges: Callable[[int], tuple[_RangeDict, ...]],
-    optional_params: Iterable[str] = (),
+    *grids: _RangeDict,
+    rationals: tuple[str, ...] = (),
 ) -> None:
     descriptor = IdentityDescriptor(
         id=identity_id,
@@ -163,9 +174,7 @@ def _register(
         modes=tuple(modes),
         domain=domain,
     )
-    _REGISTRY[identity_id] = _Registration(
-        descriptor, valid, evaluate, default_ranges, frozenset(optional_params)
-    )
+    _REGISTRY[identity_id] = _Registration(descriptor, valid, evaluate, grids, rationals)
 
 
 def _registration(identity_id: str) -> _Registration:
@@ -324,65 +333,8 @@ def _eval_lemma7(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
     return lhs, rhs, {}
 
 
-_PAIR_KEYS = {
-    "pair1": "tree",
-    "pair2": "bernoulli",
-    "pair3": "q_binomial",
-    "pair4": "q_exp",
-    "pair5": "q_cauchy",
-}
-
-
-def _pair_evaluator(pair_label: str, direction: str) -> _Evaluator:
-    pair_key = _PAIR_KEYS[pair_label]
-
-    def evaluate(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
-        k = p["k"]
-        binding: dict[str, Any] = {}
-        extras: dict[str, str] = {}
-        if pair_key == "q_binomial":
-            binding["n"] = p["n"]
-        elif pair_key in ("tree", "bernoulli"):
-            rng = seeded_rng(ctx.seed, pair_label, p.get("sample", 0))
-            a_val = ctx.a if ctx.a is not None else random_rational(rng)
-            binding["a"] = a_val
-            extras["a"] = format_scalar(a_val)
-        elif pair_key == "q_cauchy":
-            rng = seeded_rng(ctx.seed, pair_label, p.get("sample", 0))
-            a_val = ctx.a if ctx.a is not None else random_rational(rng)
-            b_val = ctx.b
-            if b_val is None:
-                b_val = random_rational(rng)
-                while b_val == a_val:
-                    b_val = random_rational(rng)
-            binding["a"] = a_val
-            binding["b"] = b_val
-            extras["a"] = format_scalar(a_val)
-            extras["b"] = format_scalar(b_val)
-        e_seq, h_seq = pair_terms(pair_key, binding, k)
-        source, target = (e_seq, h_seq) if direction == "eh" else (h_seq, e_seq)
-        lhs = composition_transform(lambda i: source[i - 1], k, budget=ctx.budget)
-        return lhs, target[k - 1], extras
-
-    return evaluate
-
-
 # ---------------------------------------------------------------------------
 # Registry entries, in the documented order.
-
-def _fixed_ranges(*ranges: _RangeDict) -> Callable[[int], tuple[_RangeDict, ...]]:
-    frozen = tuple(dict(r) for r in ranges)
-    return lambda samples: frozen
-
-
-def _sampled_ranges(base: _RangeDict) -> Callable[[int], tuple[_RangeDict, ...]]:
-    def build(samples: int) -> tuple[_RangeDict, ...]:
-        ranges = dict(base)
-        ranges["sample"] = (0, samples - 1)
-        return (ranges,)
-
-    return build
-
 
 _register(
     "eq5",
@@ -393,7 +345,7 @@ _register(
     "k >= 1, n >= 0",
     lambda p: p["k"] >= 1 and p["n"] >= 0,
     _eval_eq5,
-    _fixed_ranges({"k": (1, 10), "n": (0, 10)}),
+    {"k": (1, 10), "n": (0, 10)},
 )
 
 _register(
@@ -405,7 +357,7 @@ _register(
     "k >= 1, n >= 1",
     lambda p: p["k"] >= 1 and p["n"] >= 1,
     _eval_eq6,
-    _fixed_ranges({"k": (1, 15), "n": (1, 15)}),
+    {"k": (1, 15), "n": (1, 15)},
 )
 
 _register(
@@ -417,8 +369,7 @@ _register(
     "k >= 1, n >= 0 (omit n for the coefficientwise polynomial check)",
     lambda p: p["k"] >= 1 and p.get("n", 0) >= 0,
     _eval_eq13,
-    _fixed_ranges({"k": (1, 20)}, {"k": (1, 12), "n": (0, 12)}),
-    optional_params=("n",),
+    {"k": (1, 20)}, {"k": (1, 12), "n": (0, 12)},
 )
 
 _register(
@@ -430,7 +381,7 @@ _register(
     "k >= 1",
     lambda p: p["k"] >= 1,
     _eval_eq17,
-    _fixed_ranges({"k": (1, 12)}),
+    {"k": (1, 12)},
 )
 
 _register(
@@ -442,7 +393,7 @@ _register(
     "1 <= t <= k",
     lambda p: 1 <= p["t"] <= p["k"],
     _eval_eq18,
-    _fixed_ranges({"k": (1, 25), "t": (1, 25)}),
+    {"k": (1, 25), "t": (1, 25)},
 )
 
 _register(
@@ -454,7 +405,7 @@ _register(
     "1 <= t <= k",
     lambda p: 1 <= p["t"] <= p["k"],
     _eval_eq19,
-    _fixed_ranges({"k": (1, 25), "t": (1, 25)}),
+    {"k": (1, 25), "t": (1, 25)},
 )
 
 _register(
@@ -466,8 +417,7 @@ _register(
     "k >= 2, n >= 0 (omit n for the coefficientwise polynomial check)",
     lambda p: p["k"] >= 2 and p.get("n", 0) >= 0,
     _eval_eq29,
-    _fixed_ranges({"k": (2, 15)}),
-    optional_params=("n",),
+    {"k": (2, 15)},
 )
 
 _register(
@@ -479,7 +429,7 @@ _register(
     "1 <= t <= k",
     lambda p: 1 <= p["t"] <= p["k"],
     _eval_eq31,
-    _fixed_ranges({"k": (1, 12), "t": (1, 12)}),
+    {"k": (1, 12), "t": (1, 12)},
 )
 
 _register(
@@ -491,7 +441,7 @@ _register(
     "x >= 1, n >= 1, k >= 1",
     lambda p: p["x"] >= 1 and p["n"] >= 1 and p["k"] >= 1,
     _eval_eq36,
-    _fixed_ranges({"x": (1, 6), "n": (1, 6), "k": (1, 8)}),
+    {"x": (1, 6), "n": (1, 6), "k": (1, 8)},
 )
 
 _register(
@@ -503,7 +453,7 @@ _register(
     "1 <= x < k, n >= 1",
     lambda p: 1 <= p["x"] < p["k"] and p["n"] >= 1,
     _eval_eq37,
-    _fixed_ranges({"x": (1, 9), "n": (1, 6), "k": (2, 10)}),
+    {"x": (1, 9), "n": (1, 6), "k": (2, 10)},
 )
 
 _register(
@@ -515,7 +465,7 @@ _register(
     "k >= 1, n >= 1",
     lambda p: p["k"] >= 1 and p["n"] >= 1,
     _eval_eq38,
-    _fixed_ranges({"k": (1, 15), "n": (1, 15)}),
+    {"k": (1, 15), "n": (1, 15)},
 )
 
 _register(
@@ -527,7 +477,7 @@ _register(
     "n >= 1, t >= 2",
     lambda p: p["n"] >= 1 and p["t"] >= 2,
     _eval_eq41,
-    _fixed_ranges({"n": (1, 12), "t": (2, 12)}),
+    {"n": (1, 12), "t": (2, 12)},
 )
 
 _register(
@@ -539,7 +489,7 @@ _register(
     "k >= 1, n >= 1",
     lambda p: p["k"] >= 1 and p["n"] >= 1,
     _eval_eq42,
-    _fixed_ranges({"k": (1, 10), "n": (1, 10)}),
+    {"k": (1, 10), "n": (1, 10)},
 )
 
 _register(
@@ -551,8 +501,7 @@ _register(
     "k >= 1, n >= 0 (omit n for the coefficientwise polynomial check)",
     lambda p: p["k"] >= 1 and p.get("n", 0) >= 0,
     _eval_eq47,
-    _fixed_ranges({"k": (1, 20)}, {"k": (1, 12), "n": (0, 12)}),
-    optional_params=("n",),
+    {"k": (1, 20)}, {"k": (1, 12), "n": (0, 12)},
 )
 
 _register(
@@ -564,61 +513,80 @@ _register(
     "sample >= 0, k >= 1",
     lambda p: p["sample"] >= 0 and p["k"] >= 1,
     _eval_lemma7,
-    _fixed_ranges({"sample": (0, 19), "k": (1, 8)}),
+    {"sample": (0, 19), "k": (1, 8)},
 )
 
-_PAIR_STATEMENTS = {
-    "pair1": ("e_k = a(a-k)^(k-1)/k!", "h_k = a(a+k)^(k-1)/k!"),
-    "pair2": ("e_k = (-1)^k a^k B_k/k!", "h_k = a^k/(k+1)!"),
-    "pair3": ("e_k = q^(k(k-1)/2) qbinom(n,k)", "h_k = qbinom(n+k-1,k)"),
-    "pair4": ("e_k = q^(k(k-1)/2)/phi_k(q)", "h_k = 1/phi_k(q)"),
-    "pair5": (
-        "e_k = prod_{i=1}^{k} (a-b q^(i-1))/(1-q^i)",
-        "h_k = prod_{i=1}^{k} (a q^(i-1)-b)/(1-q^i)",
-    ),
-}
 
-for _label in ("pair1", "pair2", "pair3", "pair4", "pair5"):
-    _key = _PAIR_KEYS[_label]
-    _ring = PAIR_RINGS[_key]
-    _e_stmt, _h_stmt = _PAIR_STATEMENTS[_label]
-    if _key == "q_binomial":
-        _params: tuple[str, ...] = ("k", "n")
-        _domain = "k >= 1, n >= 0"
-        _valid = lambda p: p["k"] >= 1 and p["n"] >= 0
-        _ranges = _fixed_ranges({"k": (1, 8), "n": (0, 6)})
-    elif _key == "q_exp":
-        _params = ("k",)
-        _domain = "k >= 1"
-        _valid = lambda p: p["k"] >= 1
-        _ranges = _fixed_ranges({"k": (1, 8)})
-    else:
-        _params = ("k", "sample")
-        _domain = "k >= 1, sample >= 0"
-        _valid = lambda p: p["k"] >= 1 and p.get("sample", 0) >= 0
-        _ranges = _sampled_ranges({"k": (1, 8)})
-    _register(
-        f"{_label}_eh",
-        f"composition transform of ({_e_stmt}) recovers ({_h_stmt})",
-        _ring,
-        _params,
-        ("pointwise",),
-        _domain,
-        _valid,
-        _pair_evaluator(_label, "eh"),
-        _ranges,
-    )
-    _register(
-        f"{_label}_he",
-        f"composition transform of ({_h_stmt}) recovers ({_e_stmt})",
-        _ring,
-        _params,
-        ("pointwise",),
-        _domain,
-        _valid,
-        _pair_evaluator(_label, "he"),
-        _ranges,
-    )
+class _Pair(NamedTuple):
+    """One (e, h) sequence pair of the catalog; registered as <label>_eh and
+    <label>_he, the transform of e recovering h and of h recovering e."""
+
+    label: str
+    terms_id: str  # the pair_terms id
+    ring: str
+    e: str  # statement of e_k
+    h: str  # statement of h_k
+    rationals: tuple[str, ...]  # drawn per sample unless pinned (a, b)
+    spans: _RangeDict  # integer parameters: domain lower bound .. default grid end
+
+
+_PAIRS = (
+    _Pair("pair1", "tree", "rational",
+          "e_k = a(a-k)^(k-1)/k!", "h_k = a(a+k)^(k-1)/k!", ("a",), {"k": (1, 8)}),
+    _Pair("pair2", "bernoulli", "rational",
+          "e_k = (-1)^k a^k B_k/k!", "h_k = a^k/(k+1)!", ("a",), {"k": (1, 8)}),
+    _Pair("pair3", "q_binomial", "polynomial_q",
+          "e_k = q^(k(k-1)/2) qbinom(n,k)", "h_k = qbinom(n+k-1,k)", (),
+          {"k": (1, 8), "n": (0, 6)}),
+    _Pair("pair4", "q_exp", "rational_function_q",
+          "e_k = q^(k(k-1)/2)/phi_k(q)", "h_k = 1/phi_k(q)", (), {"k": (1, 8)}),
+    _Pair("pair5", "q_cauchy", "rational_function_q",
+          "e_k = prod_{i=1}^{k} (a-b q^(i-1))/(1-q^i)",
+          "h_k = prod_{i=1}^{k} (a q^(i-1)-b)/(1-q^i)", ("a", "b"), {"k": (1, 8)}),
+)
+
+
+def _pair_evaluator(pair: _Pair, direction: str) -> _Evaluator:
+    def evaluate(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
+        k = p["k"]
+        rationals: dict[str, Fraction] = {}
+        if pair.rationals:
+            rng = seeded_rng(ctx.seed, pair.label, p["sample"])
+            pinned = {"a": ctx.a, "b": ctx.b}
+            for name in pair.rationals:
+                value = pinned[name]
+                if value is None:
+                    value = random_rational(rng)
+                    while value in rationals.values():  # q_cauchy needs b != a
+                        value = random_rational(rng)
+                rationals[name] = value
+        integers = {name: p[name] for name in pair.spans if name != "k"}
+        e_seq, h_seq = pair_terms(pair.terms_id, {**integers, **rationals}, k)
+        extras = {name: format_scalar(value) for name, value in rationals.items()}
+        source, target = (e_seq, h_seq) if direction == "eh" else (h_seq, e_seq)
+        lhs = composition_transform(lambda i: source[i - 1], k, budget=ctx.budget)
+        return lhs, target[k - 1], extras
+
+    return evaluate
+
+
+for _pair in _PAIRS:
+    _lower = {name: lo for name, (lo, _) in _pair.spans.items()}
+    if _pair.rationals:
+        _lower["sample"] = 0
+    for _direction, _source, _target in (("eh", _pair.e, _pair.h), ("he", _pair.h, _pair.e)):
+        _register(
+            f"{_pair.label}_{_direction}",
+            f"composition transform of ({_source}) recovers ({_target})",
+            _pair.ring,
+            tuple(_lower),
+            ("pointwise",),
+            ", ".join(f"{name} >= {lo}" for name, lo in _lower.items()),
+            lambda p, lower=_lower: all(p[name] >= lo for name, lo in lower.items()),
+            _pair_evaluator(_pair, _direction),
+            _pair.spans,
+            rationals=_pair.rationals,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +605,15 @@ def default_ranges(identity_id: str, *, samples: int = DEFAULT_SAMPLES) -> tuple
     """Default verification grids (the ranges `verify --all` runs)."""
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
-    return _registration(identity_id).default_ranges(samples)
+    reg = _registration(identity_id)
+    sample = {"sample": (0, samples - 1)} if reg.rationals else {}
+    return tuple({**grid, **sample} for grid in reg.grids)
+
+
+def pair_rationals(identity_id: str) -> tuple[str, ...]:
+    """Names of the pair rationals (a, b) the identity draws for each sample;
+    an explicit a or b binding pins the one it names."""
+    return _registration(identity_id).rationals
 
 
 def _check_params(reg: _Registration, params: Mapping[str, int]) -> dict[str, int]:

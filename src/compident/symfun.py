@@ -19,6 +19,9 @@ The catalog binds six closed-form (e, h) sequence pairs:
 
 with q always symbolic and B_k the Bernoulli numbers in the B_1 = -1/2
 convention (the bernoulli pair forces it: e_1 must equal h_1 = a/2).
+pair_terms only builds the term lists; which pairs the identity catalog
+verifies, and their rings, statements and sampled bindings, live in
+identities' pair table.
 """
 
 from __future__ import annotations
@@ -37,15 +40,6 @@ from .poly import InexactDivisionError, Polynomial, RationalFunction
 DEFAULT_SEED = 1729
 
 PAIR_IDS = ("binomial", "tree", "bernoulli", "q_binomial", "q_exp", "q_cauchy")
-
-PAIR_RINGS = {
-    "binomial": "integer",
-    "tree": "rational",
-    "bernoulli": "rational",
-    "q_binomial": "polynomial_q",
-    "q_exp": "rational_function_q",
-    "q_cauchy": "rational_function_q",
-}
 
 
 def _unit_subdiagonal_toeplitz(seq: Sequence[Any]) -> list[list[Any]]:

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from compident.cli import main
 from compident.identities import CaseReport, SuiteReport
 
@@ -106,6 +108,31 @@ def test_verify_explicit_pair_binding():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["cases"] == 4
+
+
+# cases at --k 1..4 --samples 3 with no pin, with --a, and with --a and --b:
+# a pair runs one sample once every rational it draws is pinned
+PINNED_CASE_COUNTS = {
+    "pair1": (12, 4, 4),
+    "pair2": (12, 4, 4),
+    "pair3": (28, 28, 28),
+    "pair4": (4, 4, 4),
+    "pair5": (12, 12, 4),
+}
+
+
+@pytest.mark.parametrize(
+    "identity_id", [f"{label}_{d}" for label in PINNED_CASE_COUNTS for d in ("eh", "he")]
+)
+def test_verify_pinned_pair_case_counts(identity_id, capsys):
+    base = ["verify", "--id", identity_id, "--k", "1..4", "--samples", "3", "--format", "json"]
+    counts = []
+    for pins in ([], ["--a", "7/3"], ["--a", "7/3", "--b=-1/5"]):
+        assert main(base + pins) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["failed"] == 0
+        counts.append(payload["cases"])
+    assert tuple(counts) == PINNED_CASE_COUNTS[identity_id[:5]]
 
 
 def test_verify_jobs_flag_output_stable():

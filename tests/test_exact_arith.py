@@ -134,3 +134,18 @@ def test_parse_rational():
 @given(st.fractions(max_denominator=10 ** 6))
 def test_scalar_serialization_roundtrip(value):
     assert parse_rational(format_scalar(value)) == value
+
+
+def test_public_function_annotations_resolve():
+    import inspect
+    import typing
+
+    import compident
+
+    functions = [
+        obj for name, obj in vars(compident).items()
+        if not name.startswith("_") and inspect.isfunction(inspect.unwrap(obj))
+    ]
+    assert format_scalar in functions
+    for function in functions:
+        typing.get_type_hints(function)  # raises NameError on an unknown name

@@ -21,6 +21,7 @@ from compident.identities import (
     default_ranges,
     get_descriptor,
     list_identities,
+    pair_rationals,
     rothe_hagen_A,
     rothe_hagen_A_sum,
     verify_case,
@@ -164,6 +165,51 @@ def test_default_ranges():
     assert pair_grid["sample"] == (0, 2)
     with pytest.raises(DomainError):
         default_ranges("eq5", samples=0)
+
+
+# label: (params, domain, ring, e_k statement, h_k statement, drawn rationals)
+PAIR_TABLE = {
+    "pair1": (("k", "sample"), "k >= 1, sample >= 0", "rational",
+              "e_k = a(a-k)^(k-1)/k!", "h_k = a(a+k)^(k-1)/k!", ("a",)),
+    "pair2": (("k", "sample"), "k >= 1, sample >= 0", "rational",
+              "e_k = (-1)^k a^k B_k/k!", "h_k = a^k/(k+1)!", ("a",)),
+    "pair3": (("k", "n"), "k >= 1, n >= 0", "polynomial_q",
+              "e_k = q^(k(k-1)/2) qbinom(n,k)", "h_k = qbinom(n+k-1,k)", ()),
+    "pair4": (("k",), "k >= 1", "rational_function_q",
+              "e_k = q^(k(k-1)/2)/phi_k(q)", "h_k = 1/phi_k(q)", ()),
+    "pair5": (("k", "sample"), "k >= 1, sample >= 0", "rational_function_q",
+              "e_k = prod_{i=1}^{k} (a-b q^(i-1))/(1-q^i)",
+              "h_k = prod_{i=1}^{k} (a q^(i-1)-b)/(1-q^i)", ("a", "b")),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PAIR_TABLE))
+def test_pair_descriptors(label):
+    params, domain, ring, e_stmt, h_stmt, rationals = PAIR_TABLE[label]
+    for direction, source, target in (("eh", e_stmt, h_stmt), ("he", h_stmt, e_stmt)):
+        identity_id = f"{label}_{direction}"
+        d = get_descriptor(identity_id)
+        assert d.params == params
+        assert d.domain == domain
+        assert d.ring == ring
+        assert d.modes == ("pointwise",)
+        assert d.statement == f"composition transform of ({source}) recovers ({target})"
+        assert pair_rationals(identity_id) == rationals
+
+
+def test_pair_default_ranges():
+    sampled = ({"k": (1, 8), "sample": (0, 2)},)
+    expected = {
+        "pair1": sampled,
+        "pair2": sampled,
+        "pair3": ({"k": (1, 8), "n": (0, 6)},),
+        "pair4": ({"k": (1, 8)},),
+        "pair5": sampled,
+    }
+    for label, grids in expected.items():
+        for direction in ("eh", "he"):
+            assert default_ranges(f"{label}_{direction}", samples=3) == grids
+    assert pair_rationals("eq5") == pair_rationals("lemma7_roundtrip") == ()
 
 
 def test_polynomial_mode_eq13():
