@@ -20,8 +20,9 @@ Two independent routes check it: symfun's Toeplitz determinant, and the
 literal enumeration (transform_by_enumeration).  The enumeration is one
 depth-first walk over all 2**(k-1) compositions that forms each prefix
 product once and adds each composition into a bucket S_r by its part count
-r (part_count_sums; inner_sum_positive stops it at r parts); Fraction terms
-walk as integer numerators over the lcm of their denominators.
+r (part_count_sums; inner_sum_positive walks only the compositions with
+exactly r parts); Fraction terms walk as integer numerators over the lcm of
+their denominators.
 """
 
 from __future__ import annotations
@@ -173,14 +174,15 @@ def inner_sum_positive(
 ) -> Any:
     """Sum of prod term(k_i) over compositions of k with exactly r parts.
 
-    Read as S_r from one ``part_count_sums`` walk over the compositions of k
-    with at most r parts, each at most k-r+1, the largest part an r-part
-    composition has.
+    One walk over exactly the C(k-1, r-1) such compositions, with parts up
+    to k-r+1, the largest part an r-part composition has (``_exact_walk``).
     """
     if r < 1 or r > k:
         raise ValueError(f"inner_sum_positive: need 1 <= r <= k, got r={r}, k={k}")
     _check_budget("inner_sum_positive", k, budget)
-    return part_count_sums([terms(i) for i in range(1, k - r + 2)], k, r)[r - 1]
+    values, scale = _integer_scaled([terms(i) for i in range(1, k - r + 2)])
+    total = _exact_walk(values, k, r)
+    return total if scale is None else Fraction(total, scale**r)
 
 
 def transform_by_enumeration(
@@ -214,12 +216,19 @@ def part_count_sums(values: Sequence[Any], k: int, most: int | None = None) -> l
     bucket / L**r.  Other rings, and lists that mix types, walk unscaled, so
     every S_r has the type the products give.
     """
-    most = k if most is None else most
+    values, scale = _integer_scaled(values)
+    sums = _walk(values, k, k if most is None else most)
+    return sums if scale is None else [Fraction(s, scale**r) for r, s in enumerate(sums, 1)]
+
+
+def _integer_scaled(values: Sequence[Any]) -> tuple[Sequence[Any], int | None]:
+    """(numerators, L) when every value is a Fraction, L the lcm of their
+    denominators, so a product of r values is its numerator product / L**r;
+    (values, None) otherwise."""
     if any(type(v) is not Fraction for v in values):
-        return _walk(values, k, most)
+        return values, None
     scale = lcm(*(v.denominator for v in values))
-    numerators = [v.numerator * (scale // v.denominator) for v in values]
-    return [Fraction(s, scale**r) for r, s in enumerate(_walk(numerators, k, most), 1)]
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def _walk(values: Sequence[Any], k: int, most: int) -> list[Any]:
@@ -245,6 +254,29 @@ def _walk(values: Sequence[Any], k: int, most: int) -> list[Any]:
     if k <= largest:
         sums[1] += values[k - 1]
     return sums[1:]
+
+
+def _exact_walk(values: Sequence[Any], k: int, r: int) -> Any:
+    """S_r alone: the walk of ``_walk`` over the compositions of k with
+    exactly r parts.  Each part leaves at least one unit for every part
+    still to come, so every prefix walked ends in an r-part composition, and
+    no part exceeds k-r+1; ``values`` holds the terms of parts 1..k-r+1."""
+    total: Any = 0
+
+    def descend(remaining: int, left: int, prefix: Any) -> None:
+        # prefix is the product of the parts placed so far; left parts remain
+        nonlocal total
+        if left == 1:
+            total += prefix * values[remaining - 1]
+            return
+        for part in range(1, remaining - left + 2):
+            descend(remaining - part, left - 1, prefix * values[part - 1])
+
+    if r == 1:
+        return total + values[k - 1]
+    for first in range(1, k - r + 2):
+        descend(k - first, r - 1, values[first - 1])
+    return total
 
 
 def inner_sum_closed_binomial(n: int, k: int, r: int) -> int:

@@ -9,7 +9,9 @@ The pair entries come from one table, ``_PAIRS``, with a row per (e, h)
 pair: its pair_terms id, ring, e_k and h_k statements, the rationals (a, b)
 it draws per sample, and its integer parameters' spans.  Both directions
 are registered from the row, and the CLI asks ``pair_rationals`` which
-bindings an explicit --a/--b pins.
+bindings an explicit --a/--b pins.  The q_exp and q_cauchy pairs run the
+transform on symfun's graded terms (numerators over phi_k) and reduce to a
+RationalFunction once per case.
 
 Verification is pointwise (parameters substituted, exact values compared) or
 coefficientwise as polynomial identities in n for eq13, eq29, eq47 (those
@@ -35,6 +37,8 @@ from .poly import Polynomial, RationalFunction, poly_binomial, poly_to_json
 from .stirling import check_eq18, check_eq19, check_eq31, check_eq41, stirling1
 from .symfun import (
     DEFAULT_SEED,
+    GRADED_PAIR_IDS,
+    graded_pair_terms,
     h_from_e_conv,
     h_from_e_det,
     pair_terms,
@@ -561,11 +565,21 @@ def _pair_evaluator(pair: _Pair, direction: str) -> _Evaluator:
                         value = random_rational(rng)
                 rationals[name] = value
         integers = {name: p[name] for name in pair.spans if name != "k"}
-        e_seq, h_seq = pair_terms(pair.terms_id, {**integers, **rationals}, k)
+        graded = pair.terms_id in GRADED_PAIR_IDS
+        terms = graded_pair_terms if graded else pair_terms
+        e_seq, h_seq = terms(pair.terms_id, {**integers, **rationals}, k)
         extras = {name: format_scalar(value) for name, value in rationals.items()}
         source, target = (e_seq, h_seq) if direction == "eh" else (h_seq, e_seq)
         lhs = composition_transform(lambda i: source[i - 1], k, budget=ctx.budget)
-        return lhs, target[k - 1], extras
+        rhs = target[k - 1]
+        if graded:
+            # both sides sit over phi_k: equal numerators are equal values,
+            # and one reduction serves both
+            if lhs == rhs:
+                lhs = rhs = lhs.reduced()
+            else:
+                lhs, rhs = lhs.reduced(), rhs.reduced()
+        return lhs, rhs, extras
 
     return evaluate
 

@@ -242,11 +242,15 @@ class Polynomial:
         return divmod(self, other)[1]
 
     def __call__(self, x: Any) -> Any:
-        """Evaluate exactly at an integer, rational or polynomial x (Horner)."""
+        """Evaluate exactly at an integer, rational or polynomial x: Horner on
+        the integer numerators, then one division by the denominator.  A
+        scalar x gives a Fraction; the zero polynomial gives the int 0."""
+        if not self._num:
+            return 0
         result: Any = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(self._num):
             result = result * x + c
-        return result
+        return Fraction(result, self._den) if isinstance(result, int) else result / self._den
 
     def shifted(self, offset: int | Fraction) -> "Polynomial":
         """Argument translation: this polynomial evaluated at x + offset."""

@@ -22,6 +22,16 @@ convention (the bernoulli pair forces it: e_1 must equal h_1 = a/2).
 pair_terms only builds the term lists; which pairs the identity catalog
 verifies, and their rings, statements and sampled bindings, live in
 identities' pair table.
+
+The two q-pairs have every term of degree m over phi_m(q) = (1-q)...(1-q^m),
+and q_exp is q_cauchy at (a, b) = (0, -1).  graded_pair_terms gives them as
+QGraded elements: a numerator N over phi_m with m kept beside it.  As
+phi_i phi_j qbinom(i+j, i) = phi_{i+j} (Andrews, The Theory of Partitions,
+ch. 3), the product of (i, N) and (j, M) is (i+j, N M qbinom(i+j, i)), and
+elements of one degree add and negate on their numerators.  Every summand
+of the transform's T(m) has degree m, so the transform runs on QGraded
+terms without a single gcd; reduced() gives the canonical RationalFunction
+once, at the end.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from .compositions import transform_prefix
 from .exact_arith import binomial, multichoose
@@ -40,6 +50,7 @@ from .poly import InexactDivisionError, Polynomial, RationalFunction
 DEFAULT_SEED = 1729
 
 PAIR_IDS = ("binomial", "tree", "bernoulli", "q_binomial", "q_exp", "q_cauchy")
+GRADED_PAIR_IDS = ("q_exp", "q_cauchy")
 
 
 def _unit_subdiagonal_toeplitz(seq: Sequence[Any]) -> list[list[Any]]:
@@ -224,27 +235,69 @@ def pair_terms(
         e = [_q_pow(i * (i - 1) // 2) * gaussian_binomial(n, i) for i in range(1, k + 1)]
         h = [gaussian_binomial(n + i - 1, i) for i in range(1, k + 1)]
         return e, h
+    if pair_id in GRADED_PAIR_IDS:
+        e, h = graded_pair_terms(pair_id, params, k)
+        return [term.reduced() for term in e], [term.reduced() for term in h]
+    raise ValueError(f"unknown pair id {pair_id!r} (choose from {', '.join(PAIR_IDS)})")
+
+
+class QGraded(NamedTuple):
+    """N(q)/phi_m(q) with its degree m: ``num`` is N and ``degree`` is m.
+
+    A product of degrees i and j has degree i + j and numerator
+    N_i N_j qbinom(i+j, i); a sum needs equal degrees, and adding unequal
+    ones raises ArithmeticError (a fault in the caller, not in its input).
+    Tuple equality compares the numerators, which is value equality only
+    between elements of the same degree.
+    """
+
+    degree: int
+    num: Polynomial
+
+    def __add__(self, other: "QGraded") -> "QGraded":
+        if other.degree != self.degree:
+            raise ArithmeticError(
+                f"QGraded: cannot add degrees {self.degree} and {other.degree}"
+            )
+        return QGraded(self.degree, self.num + other.num)
+
+    def __neg__(self) -> "QGraded":
+        return QGraded(self.degree, -self.num)
+
+    def __mul__(self, other: "QGraded") -> "QGraded":
+        i, j = self.degree, other.degree
+        return QGraded(i + j, self.num * other.num * gaussian_binomial(i + j, i))
+
+    def reduced(self) -> RationalFunction:
+        """num / phi_degree as a canonical (coprime, monic-denominator)
+        RationalFunction; costs one gcd."""
+        return RationalFunction(self.num, phi(self.degree))
+
+
+def graded_pair_terms(
+    pair_id: str, params: Mapping[str, Any], k: int
+) -> tuple[list[QGraded], list[QGraded]]:
+    """The q_exp or q_cauchy term lists (e_1..e_k, h_1..h_k) as QGraded
+    elements: e_m and h_m are the running products of a - b q^(i-1) and
+    a q^(i-1) - b over phi_m, with (a, b) = (0, -1) for q_exp."""
+    if k < 1:
+        raise ValueError(f"graded_pair_terms: k must be >= 1, got {k}")
     if pair_id == "q_exp":
-        e = [RationalFunction(_q_pow(i * (i - 1) // 2), phi(i)) for i in range(1, k + 1)]
-        h = [RationalFunction(1, phi(i)) for i in range(1, k + 1)]
-        return e, h
-    if pair_id == "q_cauchy":
+        a, b = Fraction(0), Fraction(-1)
+    elif pair_id == "q_cauchy":
         a = Fraction(_require_param(params, "a", pair_id))
         b = Fraction(_require_param(params, "b", pair_id))
-        e: list[Any] = []
-        h: list[Any] = []
-        e_run: Any = 1
-        h_run: Any = 1
-        for i in range(1, k + 1):
-            # a - b q**(i-1) and a q**(i-1) - b collapse to constants at i = 1
-            e_num = Polynomial((a - b,)) if i == 1 else Polynomial([a] + [0] * (i - 2) + [-b])
-            h_num = Polynomial((a - b,)) if i == 1 else Polynomial([-b] + [0] * (i - 2) + [a])
-            e_run = e_run * RationalFunction(e_num, _one_minus_q_pow(i))
-            h_run = h_run * RationalFunction(h_num, _one_minus_q_pow(i))
-            e.append(e_run)
-            h.append(h_run)
-        return e, h
-    raise ValueError(f"unknown pair id {pair_id!r} (choose from {', '.join(PAIR_IDS)})")
+    else:
+        raise ValueError(f"graded_pair_terms: no graded terms for pair {pair_id!r} "
+                         f"(choose from {', '.join(GRADED_PAIR_IDS)})")
+    e_num = h_num = Polynomial((a - b,))  # both factors are a - b at i = 1
+    e, h = [QGraded(1, e_num)], [QGraded(1, h_num)]
+    for i in range(2, k + 1):
+        e_num = e_num * Polynomial([a] + [0] * (i - 2) + [-b])
+        h_num = h_num * Polynomial([-b] + [0] * (i - 2) + [a])
+        e.append(QGraded(i, e_num))
+        h.append(QGraded(i, h_num))
+    return e, h
 
 
 def seeded_rng(seed: int, *labels: Any) -> random.Random:

@@ -14,6 +14,7 @@ through the recurrence and through the walk.
 """
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -145,6 +146,19 @@ def test_inner_sum_positive_stops_the_walk_at_r_parts():
         Fraction(i, i + 1) * Fraction(k - i, k - i + 1) for i in range(1, k)
     )
     assert Counted.products <= 2 * k  # one product per 2-part composition, not ~2**k
+
+
+@pytest.mark.parametrize("r", [11, 12, 15])
+def test_inner_sum_positive_walks_only_prefixes_of_r_part_compositions(r):
+    k = 16
+    values = [Counted(Fraction(i, i + 1)) for i in range(1, k + 1)]
+    Counted.products = 0
+    got = inner_sum_positive(lambda i: values[i - 1], k, r)
+    products = Counted.products
+    assert got.value == inner_sum_positive(lambda i: Fraction(i, i + 1), k, r)
+    # every prefix walked starts an r-part composition, and each of those
+    # forms r products along its path; the walk over all of them forms ~2**k
+    assert products <= r * comb(k - 1, r - 1)
 
 
 def test_mixed_int_and_fraction_terms_keep_the_product_types():

@@ -72,6 +72,21 @@ def test_shifted_agrees_with_evaluation(p, c):
         assert shifted(x) == p(x + c)
 
 
+def test_evaluation_result_types():
+    p = Polynomial((Fraction(1, 2), 3, Fraction(-2, 3)))
+    assert p(2) == Fraction(1, 2) + 6 - Fraction(8, 3)
+    assert type(p(2)) is Fraction
+    assert type(p(Fraction(1, 3))) is Fraction
+    assert type(Polynomial((4,))(7)) is Fraction
+    assert Polynomial((4,))(7) == 4
+    at_poly = p(Polynomial((1, 1)))
+    assert type(at_poly) is Polynomial
+    assert at_poly == p.shifted(1)
+    for x in (5, Fraction(2, 7), Polynomial((0, 1))):
+        zero = Polynomial()(x)
+        assert type(zero) is int and zero == 0
+
+
 def test_shifted_returns_a_polynomial():
     assert Polynomial().shifted(3) == Polynomial()
     assert isinstance(Polynomial().shifted(3), Polynomial)
