@@ -204,12 +204,10 @@ def transform_by_enumeration(
     return total
 
 
-def part_count_sums(values: Sequence[Any], k: int, most: int | None = None) -> list[Any]:
-    """[S_1, ..., S_most] (most defaults to k) over the compositions of k
-    with parts at most len(values): S_r sums prod values[k_i - 1] over those
-    with r parts, and is 0 when there are none.  The walk stops at ``most``
-    parts, so it visits at most sum_{r<=most} C(k-1, r-1) of the 2**(k-1)
-    compositions.
+def part_count_sums(values: Sequence[Any], k: int) -> list[Any]:
+    """[S_1, ..., S_k] over the compositions of k with parts at most
+    len(values): S_r sums prod values[k_i - 1] over those with r parts, and
+    is 0 when there are none.
 
     Int terms walk in int arithmetic.  Fraction terms walk on their integer
     numerators over L = lcm of the denominators, and S_r is the Fraction
@@ -217,7 +215,7 @@ def part_count_sums(values: Sequence[Any], k: int, most: int | None = None) -> l
     every S_r has the type the products give.
     """
     values, scale = _integer_scaled(values)
-    sums = _walk(values, k, k if most is None else most)
+    sums = _walk(values, k)
     return sums if scale is None else [Fraction(s, scale**r) for r, s in enumerate(sums, 1)]
 
 
@@ -231,26 +229,23 @@ def _integer_scaled(values: Sequence[Any]) -> tuple[Sequence[Any], int | None]:
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
-def _walk(values: Sequence[Any], k: int, most: int) -> list[Any]:
-    """[S_1, ..., S_most] by one depth-first walk over the compositions of k
-    with at most ``most`` parts, each at most len(values).  Each prefix
-    product is formed once and shared by every composition that starts with
-    it, and each composition's product is added into the bucket of its part
-    count."""
+def _walk(values: Sequence[Any], k: int) -> list[Any]:
+    """[S_1, ..., S_k] by one depth-first walk over the compositions of k
+    with parts at most len(values).  Each prefix product is formed once and
+    shared by every composition that starts with it, and each composition's
+    product is added into the bucket of its part count."""
     largest = len(values)
-    sums: list[Any] = [0] * (most + 1)
+    sums: list[Any] = [0] * (k + 1)
 
     def descend(remaining: int, count: int, prefix: Any) -> None:
         # prefix is the product of the first count - 1 parts
-        if count < most:
-            for part in range(1, min(remaining, largest + 1)):
-                descend(remaining - part, count + 1, prefix * values[part - 1])
+        for part in range(1, min(remaining, largest + 1)):
+            descend(remaining - part, count + 1, prefix * values[part - 1])
         if remaining <= largest:
             sums[count] += prefix * values[remaining - 1]
 
-    if most > 1:
-        for first in range(1, min(k, largest + 1)):
-            descend(k - first, 2, values[first - 1])
+    for first in range(1, min(k, largest + 1)):
+        descend(k - first, 2, values[first - 1])
     if k <= largest:
         sums[1] += values[k - 1]
     return sums[1:]
