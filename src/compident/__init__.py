@@ -44,6 +44,7 @@ from .poly import (
     falling_factorial_poly,
     finite_difference,
     poly_binomial,
+    poly_falling_factorial,
     poly_from_json,
     poly_gcd,
     poly_to_json,

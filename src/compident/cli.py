@@ -10,11 +10,13 @@ Four subcommands:
 
 Exit codes: 0 all cases pass, 1 at least one failing case, 2 usage or
 domain errors (including enumeration-budget refusals), 3 internal errors
-(an inexact polynomial division).  JSON output is the
-stable machine surface and is byte-identical across reruns with the same
-arguments and seed; pass --timings to include wall-clock milliseconds in it
-(off by default, precisely to keep reruns byte-identical).  The
-COMPIDENT_BUDGET environment variable lifts the k <= 20 enumeration cap.
+(any other ValueError, such as an inexact polynomial division).  A --a or
+--b pin that an --id identity does not draw is noted on stderr and ignored.
+JSON output is the stable machine surface and is byte-identical across
+reruns with the same arguments and seed; pass --timings to include
+wall-clock milliseconds in it (off by default, precisely to keep reruns
+byte-identical).  The COMPIDENT_BUDGET environment variable lifts the
+k <= 20 enumeration cap.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .identities import (
     pair_rationals,
     verify_range,
 )
-from .poly import InexactDivisionError, poly_to_json
+from .poly import poly_to_json
 from .stirling import StirlingTable
 from .symfun import DEFAULT_SEED, bernoulli, gaussian_binomial
 
@@ -162,6 +164,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         # fails fast on unknown ids.  Once every rational the identity draws is
         # pinned, further samples would repeat the first (no draws: no samples).
         drawn = pair_rationals(identity_id)
+        ignored = [f"--{name}" for name, value in pinned.items()
+                   if value is not None and name not in drawn]
+        if ignored and args.identity_id:  # under --all a pin applies where it is drawn
+            print(f"compident: note: {identity_id} does not draw {', '.join(ignored)}; ignored",
+                  file=sys.stderr)
         samples = 1 if all(pinned[name] is not None for name in drawn) else args.samples
         ranges = _ranges_for(identity_id, overrides, samples)
         report = verify_range(
@@ -253,12 +260,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "compositions":
             return _cmd_compositions(args)
         raise AssertionError(f"unhandled command {args.command!r}")
-    except InexactDivisionError as exc:  # a ValueError, but never the user's fault
-        print(f"compident: internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except (DomainError, UnknownIdentityError, BudgetExceededError, ValueError) as exc:
+    except (DomainError, UnknownIdentityError, BudgetExceededError) as exc:
         print(f"compident: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ValueError as exc:  # user input raises the classes above; this is a fault
+        print(f"compident: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Any, Callable, Iterator, Sequence
 
-from .exact_arith import binomial
+from .exact_arith import DomainError, binomial
 
 DEFAULT_ENUMERATION_BUDGET = 20
 BUDGET_ENV_VAR = "COMPIDENT_BUDGET"
@@ -51,9 +51,9 @@ def enumeration_budget() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
+        raise DomainError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
     if value < 1:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be >= 1, got {value}")
+        raise DomainError(f"{BUDGET_ENV_VAR} must be >= 1, got {value}")
     return value
 
 
@@ -117,7 +117,7 @@ def enumerate_all_compositions(k: int, *, budget: int | None = None) -> Iterator
     order the CLI prints.  Refuses k over the enumeration budget.
     """
     if k < 1:
-        raise ValueError(f"enumerate_all_compositions: k must be >= 1, got {k}")
+        raise DomainError(f"enumerate_all_compositions: k must be >= 1, got {k}")
     _check_budget("enumerate_all_compositions", k, budget)
 
     def generate() -> Iterator[Composition]:

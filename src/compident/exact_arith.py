@@ -14,6 +14,14 @@ from math import comb
 from typing import Any
 
 
+class DomainError(ValueError):
+    """Input outside a documented domain: the caller's error, not compident's.
+
+    The CLI reports it as a usage error (exit 2); any other ``ValueError`` that
+    reaches it is a fault in compident (exit 3).
+    """
+
+
 def binomial(m: int, k: int) -> int:
     """Binomial coefficient C(m, k), generalized to any integer top.
 
@@ -43,7 +51,10 @@ def falling_factorial(x: Any, k: int) -> Any:
     The empty product (k == 0) is the int 1; otherwise the product starts at
     the first factor x.  Exact in any ring whose elements support ``x - i``
     and ``*``: int and Fraction points, and a ``poly.Polynomial`` x, which
-    yields the expanded polynomial.
+    yields the expanded polynomial by generic Polynomial products.  The
+    package itself routes polynomials through ``poly.poly_falling_factorial``
+    and ``poly.poly_binomial``, which expand a linear x by int-list passes and
+    fall back to this loop for any other x.
     """
     if k < 0:
         raise ValueError(f"falling_factorial: k must be >= 0, got {k}")
@@ -65,8 +76,10 @@ def format_scalar(value: int | Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or a bare integer string into an exact Fraction."""
+    """Parse "p/q" or a bare integer string into an exact Fraction.
+
+    Malformed text raises ``DomainError``: this parses user input."""
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
+        raise DomainError(f"not a rational: {text!r}") from exc

@@ -32,8 +32,14 @@ from math import comb
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .compositions import composition_transform, transform_by_enumeration
-from .exact_arith import binomial, falling_factorial, format_scalar, multichoose
-from .poly import Polynomial, RationalFunction, poly_binomial, poly_to_json
+from .exact_arith import DomainError, binomial, format_scalar, multichoose
+from .poly import (
+    Polynomial,
+    RationalFunction,
+    poly_binomial,
+    poly_falling_factorial,
+    poly_to_json,
+)
 from .stirling import check_eq18, check_eq19, check_eq31, check_eq41, stirling1
 from .symfun import (
     DEFAULT_SEED,
@@ -49,10 +55,6 @@ from .symfun import (
 MAX_REPORTED_FAILURES = 10
 
 DEFAULT_SAMPLES = 5
-
-
-class DomainError(ValueError):
-    """Parameters outside an identity's documented domain."""
 
 
 class UnknownIdentityError(ValueError):
@@ -235,7 +237,8 @@ def _eval_eq13(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
 def _eval_eq17(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
     k = p["k"]
     lhs_poly = sum(
-        falling_factorial(_N * i, k) * ((-1) ** i * comb(k + 1, i + 1)) for i in range(1, k + 1)
+        poly_falling_factorial(_N * i, k) * ((-1) ** i * comb(k + 1, i + 1))
+        for i in range(1, k + 1)
     )
     lhs = tuple(lhs_poly.coefficient(t) for t in range(k + 1))
     rhs = tuple(

@@ -10,6 +10,11 @@ with remainder run on Python ints.  ``coeffs`` is the read-only
 ``fractions.Fraction`` view; iteration, ``coefficient`` and serialization
 also speak Fractions.  Rational functions keep gcd(num, den) == 1 with a
 monic denominator, so equality is structural for them too.
+
+``poly_falling_factorial`` and ``poly_binomial`` expand a linear p, the
+only kind the identity catalog passes, by one int-list pass per factor p - i
+and one normalisation at the end; any other p goes through the generic
+``exact_arith.falling_factorial`` loop of Polynomial products.
 """
 
 from __future__ import annotations
@@ -356,26 +361,70 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(u).monic()
 
 
+def _linear_falling(p: Polynomial, k: int, over: int = 1) -> Polynomial:
+    """p (p - 1) ... (p - k + 1) / over for a degree-1 p and k >= 1.
+
+    With p = (u x + c) / d the product is prod_i (y + c - i d) / d**k in
+    y = u x: one int-list pass per factor, then coefficient t times u**t.
+    """
+    (c, u), d = p._num, p._den
+    out = [1]
+    for i in range(k):
+        v = c - i * d
+        # coefficient t of (y + v) * out is v * out[t] + out[t - 1]
+        nxt, below = [], 0
+        for a in out:
+            nxt.append(v * a + below)
+            below = a
+        nxt.append(below)
+        out = nxt
+    power = 1
+    for t in range(1, len(out)):
+        power *= u
+        out[t] *= power
+    return _make(out, d**k * over)
+
+
+def poly_falling_factorial(p: Polynomial, k: int) -> Polynomial:
+    """The expanded product p (p - 1) ... (p - k + 1); the constant 1 at k == 0.
+
+    A linear p takes the int-list pass of ``_linear_falling``; any other p
+    goes through ``exact_arith.falling_factorial``, which the tests keep as
+    the independent reference.
+    """
+    if k < 0:
+        raise ValueError(f"poly_falling_factorial: k must be >= 0, got {k}")
+    if k == 0:
+        return _ONE
+    if len(p._num) == 2:
+        return _linear_falling(p, k)
+    return falling_factorial(p, k)
+
+
 def falling_factorial_poly(k: int) -> Polynomial:
     """The expanded product x (x - 1) ... (x - k + 1); requires k >= 1.
 
-    This is ``exact_arith.falling_factorial`` at the polynomial x.
+    This is ``poly_falling_factorial`` at the polynomial x, so it takes the
+    linear int-list pass.
     """
     if k < 1:
         raise ValueError(f"falling_factorial_poly: k must be >= 1, got {k}")
-    return falling_factorial(_X, k)
+    return _linear_falling(_X, k)
 
 
 def poly_binomial(p: Polynomial, k: int) -> Polynomial:
     """C(p(x), k) expanded as a polynomial: p (p - 1) ... (p - k + 1) / k!.
 
-    This is ``exact_arith.falling_factorial`` at the polynomial p, over k!;
-    C(p, 0) is the constant polynomial 1.
+    C(p, 0) is the constant polynomial 1.  A linear p takes the int-list pass
+    of ``_linear_falling`` with k! folded into its one denominator; any other
+    p is ``exact_arith.falling_factorial`` at p, over k!.
     """
     if k < 0:
         raise ValueError(f"poly_binomial: k must be >= 0, got {k}")
     if k == 0:
         return _ONE
+    if len(p._num) == 2:
+        return _linear_falling(p, k, factorial(k))
     return falling_factorial(p, k) / factorial(k)
 
 

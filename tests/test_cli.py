@@ -266,3 +266,52 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err == "compident: internal error: inexact polynomial division\n"
+
+
+def test_internal_value_error_exits_3(monkeypatch, capsys):
+    # only DomainError, UnknownIdentityError and BudgetExceededError are the
+    # user's fault; any other ValueError is reported as an internal error
+    import dataclasses
+
+    import compident.identities as identities
+
+    def broken(params, ctx):
+        raise ValueError("evaluator fault")
+
+    reg = identities._REGISTRY["eq5"]
+    monkeypatch.setitem(identities._REGISTRY, "eq5", dataclasses.replace(reg, evaluate=broken))
+    assert main(["verify", "--id", "eq5", "--k", "1", "--n", "1"]) == 3
+    assert capsys.readouterr().err == "compident: internal error: evaluator fault\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--id", "pair1_eh", "--k", "1", "--a", "x"],
+    ["verify", "--id", "pair5_eh", "--k", "1", "--b", "1/0"],
+])
+def test_user_input_errors_are_domain_errors(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("compident: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("identity_id, pins, note", [
+    ("pair3_eh", ["--a", "7/3"], "pair3_eh does not draw --a; ignored"),
+    ("pair1_eh", ["--b", "7/3"], "pair1_eh does not draw --b; ignored"),
+    ("eq13", ["--a", "1", "--b", "2"], "eq13 does not draw --a, --b; ignored"),
+])
+def test_ignored_pin_is_noted_on_stderr(identity_id, pins, note, capsys):
+    base = ["verify", "--id", identity_id, "--k", "1..3", "--format", "json"]
+    assert main(base) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    assert main(base + pins) == 0
+    pinned = capsys.readouterr()
+    assert pinned.out == plain.out
+    assert pinned.err == f"compident: note: {note}\n"
+
+
+def test_drawn_pins_and_all_print_no_note(capsys):
+    assert main(["verify", "--id", "pair5_eh", "--k", "1..2", "--a", "2", "--b", "3"]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["verify", "--all", "--a", "7/3", "--b=-1/5", "--format", "json"]) == 0
+    assert capsys.readouterr().err == ""

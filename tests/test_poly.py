@@ -145,6 +145,23 @@ def test_poly_binomial_examples():
         poly_binomial(n, -1)
 
 
+def test_linear_poly_binomial_makes_no_polynomial_products(monkeypatch):
+    # a linear p is expanded on int lists, never by Polynomial.__mul__
+    calls = []
+    product = Polynomial.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return product(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    monkeypatch.setattr(Polynomial, "__rmul__", counting)
+    p = Polynomial((Fraction(1, 3), Fraction(-2, 3)))
+    poly_binomial(p, 12)
+    falling_factorial_poly(12)
+    assert calls == []
+
+
 def test_poly_binomial_degree_and_pointwise():
     p = Polynomial((1, 2, 1))
     q = poly_binomial(p, 3)
