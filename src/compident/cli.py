@@ -10,7 +10,10 @@ Four subcommands:
 
 Exit codes: 0 all cases pass, 1 at least one failing case, 2 usage or
 domain errors (including enumeration-budget refusals), 3 internal errors
-(any other ValueError, such as an inexact polynomial division).  A --a or
+(any other exception, such as an inexact polynomial division or a
+ZeroDivisionError inside an evaluator), reported as one line on stderr.
+A suite streams its cases: it keeps two counts and the first failures, so
+its memory is that of the identity's own tables, not of its grid.  A --a or
 --b pin that an --id identity does not draw is noted on stderr and ignored.
 JSON output is the stable machine surface and is byte-identical across
 reruns with the same arguments and seed; pass --timings to include
@@ -263,7 +266,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (DomainError, UnknownIdentityError, BudgetExceededError) as exc:
         print(f"compident: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:  # user input raises the classes above; this is a fault
+    except Exception as exc:  # user input raises the classes above; this is a fault
         print(f"compident: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

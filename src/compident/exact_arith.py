@@ -17,8 +17,10 @@ from typing import Any
 class DomainError(ValueError):
     """Input outside a documented domain: the caller's error, not compident's.
 
-    The CLI reports it as a usage error (exit 2); any other ``ValueError`` that
-    reaches it is a fault in compident (exit 3).
+    The CLI reports it as a usage error (exit 2), as it does the unknown-id and
+    enumeration-budget errors; any other exception that reaches it, a
+    ``ValueError``, ``ZeroDivisionError`` or ``ArithmeticError`` alike, is a
+    fault in compident (exit 3).
     """
 
 

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import json
 import time
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as cartesian_product
 from math import comb
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .compositions import composition_transform, transform_by_enumeration
 from .exact_arith import DomainError, binomial, format_scalar, multichoose
@@ -687,8 +688,9 @@ def verify_case(
 
 def _case_grid(
     reg: _Registration, range_dicts: Sequence[Mapping[str, tuple[int, int]]]
-) -> list[dict[str, int]]:
-    cases: list[dict[str, int]] = []
+) -> Iterator[dict[str, int]]:
+    # Checks every range dict now, then yields the in-domain cases lazily.
+    grids: list[tuple[list[str], list[range]]] = []
     for ranges in range_dicts:
         names = [p for p in reg.descriptor.params if p in ranges]
         unknown = set(ranges) - set(reg.descriptor.params)
@@ -707,13 +709,11 @@ def _case_grid(
             if lo > hi:
                 raise DomainError(f"{reg.descriptor.id}: empty span for {name}: {lo}..{hi}")
             spans.append(range(lo, hi + 1))
-        for combo in cartesian_product(*spans):
-            candidate = dict(zip(names, combo))
-            if reg.valid(candidate):
-                cases.append(candidate)
-    if not cases:
-        raise DomainError(f"{reg.descriptor.id}: no cases inside the identity's domain")
-    return cases
+        grids.append((names, spans))
+    candidates = (
+        dict(zip(names, combo)) for names, spans in grids for combo in cartesian_product(*spans)
+    )
+    return (candidate for candidate in candidates if reg.valid(candidate))
 
 
 def verify_range(
@@ -735,7 +735,10 @@ def verify_range(
     Combinations outside the identity's domain (for example t > k in a
     triangular family) are skipped, not errors.  Cases run in the
     documented parameter order, one after another in the calling thread;
-    ``jobs`` is only checked (it must be >= 1) and selects nothing.
+    ``jobs`` is only checked (it must be >= 1) and selects nothing.  The
+    suite streams: each case's report is folded into the counts as it
+    returns, and only the first MAX_REPORTED_FAILURES failing reports are
+    kept, so memory does not grow with the grid.
     """
     reg = _registration(identity_id)
     if jobs < 1:
@@ -750,16 +753,23 @@ def verify_range(
         range_dicts = tuple(ranges)
     cases = _case_grid(reg, range_dicts)
     start = time.perf_counter()
-    reports = [
-        verify_case(identity_id, c, seed=seed, a=a, b=b, budget=budget) for c in cases
-    ]
+    total = failed = 0
+    first_failures: list[CaseReport] = []
+    for params in cases:
+        report = verify_case(identity_id, params, seed=seed, a=a, b=b, budget=budget)
+        total += 1
+        if not report.passed:
+            failed += 1
+            if len(first_failures) < MAX_REPORTED_FAILURES:
+                first_failures.append(report)
+    if not total:  # raised before any case ran: the grid had none
+        raise DomainError(f"{reg.descriptor.id}: no cases inside the identity's domain")
     elapsed_ms = int((time.perf_counter() - start) * 1000)
-    failures = [r for r in reports if not r.passed]
     return SuiteReport(
         identity_id=identity_id,
-        cases_total=len(reports),
-        cases_failed=len(failures),
-        first_failures=failures[:MAX_REPORTED_FAILURES],
+        cases_total=total,
+        cases_failed=failed,
+        first_failures=first_failures,
         elapsed_ms=elapsed_ms,
     )
 
@@ -776,7 +786,15 @@ def verify_polynomial_in_n(identity_id: str, k: int) -> CaseReport:
 
 def check_eq17_coefficients(k: int) -> CaseReport:
     """Coefficient law: every n^t coefficient of the signed falling-factorial
-    sum equals (-1)^t s(k,t), and the constant term is 0."""
+    sum equals (-1)^t s(k,t), and the constant term is 0.
+
+    Deprecated: the same report as ``verify_polynomial_in_n("eq17", k)``.
+    """
+    warnings.warn(
+        'check_eq17_coefficients is deprecated; use verify_polynomial_in_n("eq17", k)',
+        DeprecationWarning,
+        stacklevel=2,
+    )
     return verify_case("eq17", {"k": k})
 
 

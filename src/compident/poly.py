@@ -449,8 +449,8 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Any = 0, den: Any = 1):
-        num_p = self._as_poly(num)
-        den_p = self._as_poly(den)
+        num_p = Polynomial._coerce(num)
+        den_p = Polynomial._coerce(den)
         if num_p is None or den_p is None:
             raise TypeError("rational function parts must be polynomials or scalars")
         if den_p.is_zero:
@@ -467,14 +467,6 @@ class RationalFunction:
             num_p = num_p / lead
             den_p = den_p / lead
         self.num, self.den = num_p, den_p
-
-    @staticmethod
-    def _as_poly(value: Any) -> Polynomial | None:
-        if isinstance(value, Polynomial):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return Polynomial((value,))
-        return None
 
     @classmethod
     def _reduced(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
@@ -494,7 +486,7 @@ class RationalFunction:
     def _coerce(cls, other: Any) -> "RationalFunction | None":
         if isinstance(other, RationalFunction):
             return other
-        as_poly = cls._as_poly(other)
+        as_poly = Polynomial._coerce(other)
         if as_poly is None:
             return None
         return cls._reduced(as_poly, _ONE)

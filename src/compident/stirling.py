@@ -4,6 +4,11 @@ s(n, t) is the coefficient of x**t in x (x-1) ... (x-n+1), computed through
 the triangle recurrence s(n, t) = s(n-1, t-1) - (n-1) s(n-1, t) with the
 conventions s(0, 0) = 1 and s(0, t) = 0 for t >= 1 (so the recurrence
 instantiates cleanly at n = 1) and s(n, t) = 0 outside 1 <= t <= n.
+
+The rows live in one grow-only module tuple that gains exactly the rows a
+caller asks for (the idiom of symfun.bernoulli and symfun.phi); the checks
+read it directly and StirlingTable slices its rows from it, so the
+recurrence is written once.
 """
 
 from __future__ import annotations
@@ -16,21 +21,35 @@ from typing import Any
 from .poly import falling_factorial_poly
 
 
+_rows: tuple[tuple[int, ...], ...] = ((1,),)
+
+
+def _grown(n: int) -> tuple[tuple[int, ...], ...]:
+    """The shared rows s(m, 0..m) for m = 0 .. at least n.
+
+    Grows a private copy and rebinds the global, which is never mutated, so
+    concurrent callers at worst repeat a row; each returns the tuple it read
+    or built and never reads the global again.
+    """
+    global _rows
+    rows = _rows
+    if len(rows) <= n:
+        grown = list(rows)
+        for m in range(len(grown), n + 1):
+            prev = grown[m - 1]
+            # s(m, t) = s(m-1, t-1) - (m-1) s(m-1, t), with s(m-1, m) = 0
+            grown.append(tuple(a - (m - 1) * b for a, b in zip((0, *prev), (*prev, 0))))
+        rows = _rows = tuple(grown)
+    return rows
+
+
 class StirlingTable:
-    """Triangular memo of s(n, t); immutable once built."""
+    """Triangular memo of s(n, t) for n <= n_max; immutable once built."""
 
     def __init__(self, n_max: int):
         if n_max < 0:
             raise ValueError(f"StirlingTable: n_max must be >= 0, got {n_max}")
-        rows: list[list[int]] = [[1]]
-        for n in range(1, n_max + 1):
-            prev = rows[n - 1]
-            row = [0] * (n + 1)
-            for t in range(1, n + 1):
-                above = prev[t] if t < len(prev) else 0
-                row[t] = prev[t - 1] - (n - 1) * above
-            rows.append(row)
-        self._rows = tuple(tuple(r) for r in rows)
+        self._rows = _grown(n_max)[: n_max + 1]
         self.n_max = n_max
 
     def value(self, n: int, t: int) -> int:
@@ -49,22 +68,11 @@ class StirlingTable:
         return self._rows[n][1:]
 
 
-_table = StirlingTable(32)
-
-
-def _shared(n: int) -> StirlingTable:
-    # Returns the table it read or built and never reads the global again, so
-    # a rebind by another thread in between cannot hand back a smaller table.
-    global _table
-    table = _table
-    if n > table.n_max:
-        table = _table = StirlingTable(max(n, 2 * table.n_max))
-    return table
-
-
 def _s(n: int, t: int) -> int:
     # Internal accessor: accepts n >= 0 under the s(0, .) convention.
-    return _shared(max(n, 0)).value(n, t)
+    if t < 0 or t > n:
+        return 0
+    return _grown(n)[n][t]
 
 
 def stirling1(n: int, t: int) -> int:

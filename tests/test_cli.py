@@ -284,6 +284,28 @@ def test_internal_value_error_exits_3(monkeypatch, capsys):
     assert capsys.readouterr().err == "compident: internal error: evaluator fault\n"
 
 
+@pytest.mark.parametrize("fault", [
+    ZeroDivisionError("division by zero"),
+    ArithmeticError("graded element has no exact quotient"),
+])
+def test_internal_fault_of_any_class_exits_3(fault, monkeypatch, capsys):
+    # exit 1 means "a case failed", so a fault that is not a ValueError must
+    # not escape as a traceback either
+    import dataclasses
+
+    import compident.identities as identities
+
+    def broken(params, ctx):
+        raise fault
+
+    reg = identities._REGISTRY["eq5"]
+    monkeypatch.setitem(identities._REGISTRY, "eq5", dataclasses.replace(reg, evaluate=broken))
+    assert main(["verify", "--id", "eq5", "--k", "1", "--n", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"compident: internal error: {fault}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--id", "pair1_eh", "--k", "1", "--a", "x"],
     ["verify", "--id", "pair5_eh", "--k", "1", "--b", "1/0"],

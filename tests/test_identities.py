@@ -1,11 +1,14 @@
 """Tests for the identity registry and the verification engine."""
 
+import dataclasses
 import json
 import threading
+import weakref
 from fractions import Fraction
 
 import pytest
 
+import compident.identities as identities
 from compident.compositions import (
     BudgetExceededError,
     composition_transform,
@@ -138,6 +141,65 @@ def test_verify_range_errors():
         verify_range("eq5", {"k": (1, 2), "n": (0, 2)}, jobs=0)
 
 
+@pytest.mark.parametrize("identity_id, ranges", [
+    ("eq5", [{"k": (1, 2), "n": (0, 2)}, {"k": (3, 1), "n": (0, 1)}]),  # empty span
+    ("eq5", [{"k": (1, 2), "n": (0, 2)}, {"k": (1, 2), "n": (0, 2), "t": (1, 2)}]),  # unknown
+    ("eq5", [{"k": (1, 2), "n": (0, 2)}, {"k": (1, 2)}]),  # missing
+    ("eq19", {"k": (1, 2), "t": (5, 9)}),  # nothing in domain
+])
+def test_verify_range_errors_before_any_case(identity_id, ranges, monkeypatch):
+    # a later grid's error is raised before the earlier grid's cases run
+    calls = []
+    monkeypatch.setattr(identities, "verify_case", lambda *a, **kw: calls.append(a))
+    with pytest.raises(DomainError):
+        verify_range(identity_id, ranges)
+    assert calls == []
+
+
+def test_verify_range_keeps_at_most_two_passing_reports(monkeypatch):
+    # the suite folds each report as it returns instead of keeping the grid's
+    live = peak = 0
+
+    def release():
+        nonlocal live
+        live -= 1
+
+    real = identities.verify_case
+
+    def counted(*args, **kwargs):
+        nonlocal live, peak
+        report = real(*args, **kwargs)
+        weakref.finalize(report, release)
+        live += 1
+        peak = max(peak, live)
+        return report
+
+    monkeypatch.setattr(identities, "verify_case", counted)
+    report = verify_range("eq19", {"k": (1, 25), "t": (1, 25)})
+    assert report.cases_total == 325 and report.passed
+    assert peak <= 2
+
+
+def test_verify_range_caps_reported_failures(monkeypatch):
+    seen = []
+
+    def odd_n_fails(params, ctx):
+        seen.append((params["k"], params["n"]))
+        return params["n"] % 2, 0, {}
+
+    reg = identities._REGISTRY["eq5"]
+    monkeypatch.setitem(identities._REGISTRY, "eq5", dataclasses.replace(reg, evaluate=odd_n_fails))
+    report = verify_range("eq5", {"k": (1, 4), "n": (0, 8)})
+    assert seen == [(k, n) for k in range(1, 5) for n in range(9)]  # grid order
+    failing = [(k, n) for k, n in seen if n % 2]
+    assert len(failing) == 16 > identities.MAX_REPORTED_FAILURES
+    assert report.cases_total == 36 and report.cases_failed == 16
+    assert [(int(c.params["k"]), int(c.params["n"])) for c in report.first_failures] == (
+        failing[: identities.MAX_REPORTED_FAILURES]
+    )
+    assert all(not c.passed and c.lhs == "1" and c.rhs == "0" for c in report.first_failures)
+
+
 def test_verify_range_jobs_deterministic():
     sequential = verify_range("eq13", {"k": (1, 6), "n": (0, 6)})
     threaded = verify_range("eq13", {"k": (1, 6), "n": (0, 6)}, jobs=4)
@@ -257,7 +319,8 @@ def test_polynomial_mode_evaluates_to_pointwise_values(identity_id, k_lo):
 
 
 def test_verify_polynomial_in_n_follows_descriptor_modes():
-    assert verify_polynomial_in_n("eq17", 4).to_json() == check_eq17_coefficients(4).to_json()
+    with pytest.warns(DeprecationWarning, match=r'verify_polynomial_in_n\("eq17", k\)'):
+        assert verify_polynomial_in_n("eq17", 4).to_json() == check_eq17_coefficients(4).to_json()
     with pytest.raises(DomainError, match="no polynomial_in_n mode"):
         verify_polynomial_in_n("eq42", 3)
     with pytest.raises(UnknownIdentityError):
@@ -265,13 +328,16 @@ def test_verify_polynomial_in_n_follows_descriptor_modes():
 
 
 def test_eq17_coefficients():
-    report = check_eq17_coefficients(2)
+    with pytest.warns(DeprecationWarning):
+        report = check_eq17_coefficients(2)
     assert report.passed
     assert report.lhs == "[0, 1, 1]"
-    report = check_eq17_coefficients(1)  # single term -n * C(2,2)
+    with pytest.warns(DeprecationWarning):
+        report = check_eq17_coefficients(1)  # single term -n * C(2,2)
     assert report.passed and report.lhs == "[0, -1]"
     for k in range(1, 13):
-        assert check_eq17_coefficients(k).passed
+        with pytest.warns(DeprecationWarning):
+            assert check_eq17_coefficients(k).passed
 
 
 def test_eq6_hockey_stick_form():

@@ -1,6 +1,6 @@
 """The lock-free memo caches of symfun and stirling under concurrent callers.
 
-bernoulli, phi and stirling's shared table rebind a module global to a new
+bernoulli, phi and stirling's shared rows rebind a module global to a new
 immutable value; gaussian_binomial is a functools.cache.  Library callers may
 share them across threads, so four threads fill them from empty at the same
 time, with the interpreter switching threads as often as it can, and each
@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from compident import stirling, symfun
 from compident.poly import Polynomial
-from compident.stirling import StirlingTable, stirling1
+from compident.stirling import stirling1
 from compident.symfun import bernoulli, gaussian_binomial, phi
 
 THREADS = 4
@@ -22,7 +22,7 @@ THREADS = 4
 def _reset_caches(monkeypatch):
     monkeypatch.setattr(symfun, "_bernoulli_cache", (Fraction(1),))
     monkeypatch.setattr(symfun, "_phi_cache", (Polynomial((1,)),))
-    monkeypatch.setattr(stirling, "_table", StirlingTable(32))
+    monkeypatch.setattr(stirling, "_rows", ((1,),))
     gaussian_binomial.cache_clear()
 
 
@@ -31,7 +31,7 @@ def _compute():
         [bernoulli(m) for m in range(121)],
         [phi(k) for k in range(41)],
         [gaussian_binomial(n, k) for n in range(21) for k in range(n + 1)],
-        # n past 32 and 64 makes stirling._shared rebuild the table twice
+        # stirling's rows grow from s(0, .) to s(100, .), one row per new n
         [stirling1(n, t) for n in range(1, 101) for t in range(1, n + 1)],
     )
 
@@ -61,8 +61,8 @@ def test_memo_caches_agree_across_threads(monkeypatch):
         sys.setswitchinterval(interval)
 
     assert errors == []
+    assert len(stirling._rows) > 100  # grown past row 100 by the threads
     _reset_caches(monkeypatch)
     expected = _compute()
-    assert stirling._table.n_max >= 100
     for got in results:
         assert got == expected
