@@ -11,9 +11,11 @@ Four subcommands:
 Exit codes: 0 all cases pass, 1 at least one failing case, 2 usage or
 domain errors (including enumeration-budget refusals), 3 internal errors
 (any other exception, such as an inexact polynomial division or a
-ZeroDivisionError inside an evaluator), reported as one line on stderr.
-A suite streams its cases: it keeps two counts and the first failures, so
-its memory is that of the identity's own tables, not of its grid.  A --a or
+ZeroDivisionError inside an evaluator), reported as one line on stderr,
+and 141 when the reader closes stdout early (`compident compositions 14 |
+head -1`), with nothing on stderr.  A suite streams its cases: it keeps two counts and the first failures, so
+its memory is that of the identity's own tables, not of its grid (except
+pair4/pair5, whose cases each leave one poly_gcd cache entry).  A --a or
 --b pin that an --id identity does not draw is noted on stderr and ignored.
 JSON output is the stable machine surface and is byte-identical across
 reruns with the same arguments and seed; pass --timings to include
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -50,6 +53,7 @@ EXIT_OK = 0
 EXIT_FAILURES = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a writer cut off by `| head`
 
 _SPAN_FLAGS = ("k", "n", "t", "x")
 
@@ -181,7 +185,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             samples=samples,
             a=a,
             b=b,
-            jobs=args.jobs,
         )
         _emit_suite(report, args.format, args.timings)
         if not report.passed:
@@ -246,6 +249,26 @@ def _cmd_compositions(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "verify": _cmd_verify,
+    "list": _cmd_list,
+    "table": _cmd_table,
+    "compositions": _cmd_compositions,
+}
+
+
+def _discard_stdout() -> None:
+    # what stdout still buffers would break the pipe again in the
+    # interpreter's exit flush; send it to devnull instead
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # not backed by a file descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -254,15 +277,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "list":
-            return _cmd_list(args)
-        if args.command == "table":
-            return _cmd_table(args)
-        if args.command == "compositions":
-            return _cmd_compositions(args)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe breaks here, not in the exit flush
+        return code
+    except BrokenPipeError:
+        # the reader stopped reading (`| head`): not a fault, and nothing to say
+        _discard_stdout()
+        return EXIT_CLOSED_PIPE
     except (DomainError, UnknownIdentityError, BudgetExceededError) as exc:
         print(f"compident: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

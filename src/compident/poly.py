@@ -508,6 +508,9 @@ class RationalFunction:
         return hash((self.num, self.den))
 
     def __add__(self, other: Any) -> "RationalFunction":
+        """Sum; a reference route: no package code has called the ring
+        operations since the q-pairs run on symfun.QGraded, and the tests
+        check the graded route against them."""
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
@@ -538,6 +541,7 @@ class RationalFunction:
         return self._reduced(-self.num, self.den)
 
     def __sub__(self, other: Any) -> "RationalFunction":
+        """Difference; a reference route for the tests (see __add__)."""
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
@@ -550,22 +554,16 @@ class RationalFunction:
         return rhs + (-self)
 
     def __mul__(self, other: Any) -> "RationalFunction":
+        """Product, by its definition; a reference route for the tests (see __add__)."""
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        if self.num.is_zero or rhs.num.is_zero:
-            return self._reduced(Polynomial(), _ONE)
-        g1 = poly_gcd(self.num, rhs.den)
-        g2 = poly_gcd(rhs.num, self.den)
-        num_l = exact_div(self.num, g1) if g1.degree > 0 else self.num
-        den_r = exact_div(rhs.den, g1) if g1.degree > 0 else rhs.den
-        num_r = exact_div(rhs.num, g2) if g2.degree > 0 else rhs.num
-        den_l = exact_div(self.den, g2) if g2.degree > 0 else self.den
-        return self._reduced(num_l * num_r, den_l * den_r)
+        return RationalFunction(self.num * rhs.num, self.den * rhs.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Any) -> "RationalFunction":
+        """Quotient; a reference route for the tests (see __add__)."""
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
@@ -580,6 +578,7 @@ class RationalFunction:
         return rhs / self
 
     def __pow__(self, exponent: int) -> "RationalFunction":
+        """Integer power; a reference route for the tests (see __add__)."""
         if exponent < 0:
             return (1 / self) ** (-exponent)
         result = self._reduced(_ONE, _ONE)

@@ -1,5 +1,7 @@
 """Golden tests for the compident command-line interface."""
 
+import errno
+import io
 import json
 import os
 import subprocess
@@ -15,16 +17,17 @@ from compident.identities import CaseReport, SuiteReport
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*argv: str, env: dict | None = None) -> subprocess.CompletedProcess:
+def child_env(env: dict | None = None) -> dict:
     pythonpath = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
-    full_env = dict(os.environ, PYTHONPATH=pythonpath)
-    if env:
-        full_env.update(env)
+    return {**os.environ, "PYTHONPATH": pythonpath, **(env or {})}
+
+
+def run_cli(*argv: str, env: dict | None = None) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "compident", *argv],
         capture_output=True,
         text=True,
-        env=full_env,
+        env=child_env(env),
         timeout=300,
     )
 
@@ -142,6 +145,13 @@ def test_verify_jobs_flag_output_stable():
     assert base.stdout == fanned.stdout
 
 
+def test_verify_jobs_below_one_exits_2(capsys):
+    assert main(["verify", "--id", "eq5", "--jobs", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "compident: error: --jobs must be >= 1, got 0\n"
+
+
 def test_verify_usage_errors_exit_2():
     assert run_cli("verify").returncode == 2
     assert run_cli("verify", "--id", "eq5", "--all").returncode == 2
@@ -221,6 +231,39 @@ def test_compositions_budget_refusal():
     result = run_cli("compositions", "25")
     assert result.returncode == 2
     assert "cap" in result.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_141_quietly(unbuffered):
+    # compositions 14 prints ~120 KB, more than a pipe holds, so closing the
+    # read end after one line always breaks the pipe under the writer
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "compident", "compositions", "14"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"1,1,1,1,1,1,1,1,1,1,1,1,1,1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 141
+    assert err == b""
+
+
+def test_closed_stdout_in_process_exits_141(monkeypatch, capsys):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["compositions", "3"]) == 141
+    assert main(["verify", "--id", "eq5", "--k", "1..2", "--n", "0..2"]) == 141
+    assert capsys.readouterr().err == ""
 
 
 def test_help_exits_zero():

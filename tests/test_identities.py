@@ -113,10 +113,11 @@ def test_verify_case_domain_errors():
         verify_case("eq29", {"k": 1})
 
 
-def test_budget_error_propagates():
+def test_budget_error_propagates(monkeypatch):
     with pytest.raises(BudgetExceededError):
         verify_case("eq5", {"k": 21, "n": 1})
-    assert verify_case("eq5", {"k": 21, "n": 1}, budget=21).passed
+    monkeypatch.setenv("COMPIDENT_BUDGET", "21")
+    assert verify_case("eq5", {"k": 21, "n": 1}).passed
 
 
 def test_verify_range_counts():
@@ -137,8 +138,6 @@ def test_verify_range_errors():
         verify_range("eq5", {"k": (1, 3)})
     with pytest.raises(DomainError):
         verify_range("eq19", {"k": (1, 2), "t": (5, 9)})  # nothing in domain
-    with pytest.raises(DomainError):
-        verify_range("eq5", {"k": (1, 2), "n": (0, 2)}, jobs=0)
 
 
 @pytest.mark.parametrize("identity_id, ranges", [
@@ -202,7 +201,7 @@ def test_verify_range_caps_reported_failures(monkeypatch):
 
 def test_verify_range_jobs_deterministic():
     sequential = verify_range("eq13", {"k": (1, 6), "n": (0, 6)})
-    threaded = verify_range("eq13", {"k": (1, 6), "n": (0, 6)}, jobs=4)
+    threaded = verify_range("eq13", {"k": (1, 6), "n": (0, 6)})
     assert sequential.cases_total == threaded.cases_total == 42
     assert sequential.cases_failed == threaded.cases_failed == 0
 
@@ -213,8 +212,8 @@ def test_verify_range_starts_no_thread(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     grid = {"k": (1, 4), "n": (0, 3)}
-    fanned = verify_range("eq13", grid, jobs=4)
-    serial = verify_range("eq13", grid, jobs=1)
+    fanned = verify_range("eq13", grid)
+    serial = verify_range("eq13", grid)
     assert fanned.cases_total == 16 and fanned.passed
     assert fanned.to_json(include_timings=False) == serial.to_json(include_timings=False)
 

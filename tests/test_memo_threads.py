@@ -1,10 +1,10 @@
 """The lock-free memo caches of symfun and stirling under concurrent callers.
 
 bernoulli, phi and stirling's shared rows rebind a module global to a new
-immutable value; gaussian_binomial is a functools.cache.  Library callers may
-share them across threads, so four threads fill them from empty at the same
-time, with the interpreter switching threads as often as it can, and each
-thread's values must equal a single-threaded recomputation.
+immutable value; gaussian_binomial is an lru_cache(maxsize=1024).  Library
+callers may share them across threads, so four threads fill them from empty
+at the same time, with the interpreter switching threads as often as it
+can, and each thread's values must equal a single-threaded recomputation.
 """
 
 import sys
