@@ -27,7 +27,6 @@ from .identities import (
     IdentityDescriptor,
     SuiteReport,
     UnknownIdentityError,
-    check_eq17_coefficients,
     default_ranges,
     get_descriptor,
     list_identities,
@@ -41,7 +40,6 @@ from .poly import (
     Polynomial,
     RationalFunction,
     exact_div,
-    falling_factorial_poly,
     finite_difference,
     poly_binomial,
     poly_falling_factorial,
@@ -63,7 +61,6 @@ from .symfun import (
     DEFAULT_SEED,
     PAIR_IDS,
     bernoulli,
-    e_from_h_det,
     gaussian_binomial,
     h_from_e_conv,
     h_from_e_det,

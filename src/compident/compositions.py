@@ -3,9 +3,8 @@
 A composition of k with r parts is an ordered tuple of positive integers
 summing to k.  There are C(k-1, r-1) compositions with exactly r parts and
 2**(k-1) altogether, so every enumerator here streams lazily; they and the
-transform refuse k beyond a configurable cap (20 by default; the
-COMPIDENT_BUDGET environment variable or an explicit ``budget`` argument
-overrides it).
+transform refuse k beyond a cap (20 by default; the COMPIDENT_BUDGET
+environment variable is the one way to move it).
 
 The central operation is the signed transform
 
@@ -57,12 +56,11 @@ def enumeration_budget() -> int:
     return value
 
 
-def _check_budget(operation: str, k: int, budget: int | None) -> None:
-    cap = enumeration_budget() if budget is None else budget
+def _check_budget(operation: str, k: int) -> None:
+    cap = enumeration_budget()
     if k > cap:
         raise BudgetExceededError(
-            f"{operation}: k={k} is over the cap k<={cap} "
-            f"(override via {BUDGET_ENV_VAR} or budget=)"
+            f"{operation}: k={k} is over the cap k<={cap} (set {BUDGET_ENV_VAR} to lift it)"
         )
 
 
@@ -109,16 +107,17 @@ def _positive_parts(remaining: int, slots: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
-def enumerate_all_compositions(k: int, *, budget: int | None = None) -> Iterator[Composition]:
+def enumerate_all_compositions(k: int) -> Iterator[Composition]:
     """All 2**(k-1) compositions of k.
 
     Grouped by part count from k parts (the all-ones composition) down to a
     single part (k itself), lexicographic inside each group, matching the
-    order the CLI prints.  Refuses k over the enumeration budget.
+    order the CLI prints.  Refuses k over the cap (``enumeration_budget``)
+    before yielding anything.
     """
     if k < 1:
         raise DomainError(f"enumerate_all_compositions: k must be >= 1, got {k}")
-    _check_budget("enumerate_all_compositions", k, budget)
+    _check_budget("enumerate_all_compositions", k)
 
     def generate() -> Iterator[Composition]:
         for r in range(k, 0, -1):
@@ -154,49 +153,46 @@ def transform_prefix(values: Sequence[Any]) -> list[Any]:
     return ts
 
 
-def composition_transform(
-    terms: Callable[[int], Any], k: int, *, budget: int | None = None
-) -> Any:
+def composition_transform(terms: Callable[[int], Any], k: int) -> Any:
     """Signed sum of term products over every composition of k.
 
         sum_{r=1}^{k} (-1)**(k-r) sum_{k_1+...+k_r=k, k_i>=1} prod term(k_i)
 
     Computed by the convolution ``transform_prefix`` in O(k**2) ring operations.
+    Refuses k over the cap (``enumeration_budget``) before reading any term.
     """
     if k < 1:
         raise ValueError(f"composition_transform: k must be >= 1, got {k}")
-    _check_budget("composition_transform", k, budget)
+    _check_budget("composition_transform", k)
     return transform_prefix([terms(i) for i in range(1, k + 1)])[-1]
 
 
-def inner_sum_positive(
-    terms: Callable[[int], Any], k: int, r: int, *, budget: int | None = None
-) -> Any:
+def inner_sum_positive(terms: Callable[[int], Any], k: int, r: int) -> Any:
     """Sum of prod term(k_i) over compositions of k with exactly r parts.
 
     One walk over exactly the C(k-1, r-1) such compositions, with parts up
     to k-r+1, the largest part an r-part composition has (``_exact_walk``).
+    Refuses k over the cap (``enumeration_budget``) before reading any term.
     """
     if r < 1 or r > k:
         raise ValueError(f"inner_sum_positive: need 1 <= r <= k, got r={r}, k={k}")
-    _check_budget("inner_sum_positive", k, budget)
+    _check_budget("inner_sum_positive", k)
     values, scale = _integer_scaled([terms(i) for i in range(1, k - r + 2)])
     total = _exact_walk(values, k, r)
     return total if scale is None else Fraction(total, scale**r)
 
 
-def transform_by_enumeration(
-    terms: Callable[[int], Any], k: int, *, budget: int | None = None
-) -> Any:
+def transform_by_enumeration(terms: Callable[[int], Any], k: int) -> Any:
     """composition_transform's value as the literal signed sum
     sum_r (-1)**(k-r) S_r over all 2**(k-1) compositions of k.
 
     Shares no code with ``transform_prefix``, so it checks the recurrence
-    independently.
+    independently.  Refuses k over the cap (``enumeration_budget``) before
+    reading any term.
     """
     if k < 1:
         raise ValueError(f"transform_by_enumeration: k must be >= 1, got {k}")
-    _check_budget("transform_by_enumeration", k, budget)
+    _check_budget("transform_by_enumeration", k)
     total: Any = None
     for r, s in enumerate(part_count_sums([terms(i) for i in range(1, k + 1)], k), 1):
         signed = s if (k - r) % 2 == 0 else -s

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import time
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as cartesian_product
@@ -778,20 +777,6 @@ def verify_polynomial_in_n(identity_id: str, k: int) -> CaseReport:
     if "polynomial_in_n" not in get_descriptor(identity_id).modes:
         raise DomainError(f"{identity_id!r} has no polynomial_in_n mode")
     return verify_case(identity_id, {"k": k})
-
-
-def check_eq17_coefficients(k: int) -> CaseReport:
-    """Coefficient law: every n^t coefficient of the signed falling-factorial
-    sum equals (-1)^t s(k,t), and the constant term is 0.
-
-    Deprecated: the same report as ``verify_polynomial_in_n("eq17", k)``.
-    """
-    warnings.warn(
-        'check_eq17_coefficients is deprecated; use verify_polynomial_in_n("eq17", k)',
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return verify_case("eq17", {"k": k})
 
 
 def rothe_hagen_A(x: int, n: int, k: int) -> Fraction:

@@ -15,6 +15,8 @@ monic denominator, so equality is structural for them too.
 only kind the identity catalog passes, by one int-list pass per factor p - i
 and one normalisation at the end; any other p goes through the generic
 ``exact_arith.falling_factorial`` loop of Polynomial products.
+``poly_falling_factorial`` is the one expansion of x (x - 1) ... (x - k + 1)
+at p = x, ``Polynomial((0, 1))``.
 """
 
 from __future__ import annotations
@@ -70,10 +72,6 @@ class Polynomial:
             den = lcm(*(c.denominator for c in fracs)) if fracs else 1
             num = [c.numerator * (den // c.denominator) for c in fracs]
         self._num, self._den = _normal_form(num, den)
-
-    @classmethod
-    def constant(cls, value: int | Fraction) -> "Polynomial":
-        return cls((value,))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -293,7 +291,6 @@ class Polynomial:
 
 
 _ONE = Polynomial((1,))
-_X = Polynomial((0, 1))
 
 
 class InexactDivisionError(ValueError):
@@ -399,17 +396,6 @@ def poly_falling_factorial(p: Polynomial, k: int) -> Polynomial:
     if len(p._num) == 2:
         return _linear_falling(p, k)
     return falling_factorial(p, k)
-
-
-def falling_factorial_poly(k: int) -> Polynomial:
-    """The expanded product x (x - 1) ... (x - k + 1); requires k >= 1.
-
-    This is ``poly_falling_factorial`` at the polynomial x, so it takes the
-    linear int-list pass.
-    """
-    if k < 1:
-        raise ValueError(f"falling_factorial_poly: k must be >= 1, got {k}")
-    return _linear_falling(_X, k)
 
 
 def poly_binomial(p: Polynomial, k: int) -> Polynomial:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb
 from typing import Any
 
-from .poly import falling_factorial_poly
+from .poly import Polynomial, poly_falling_factorial
 
 
 _rows: tuple[tuple[int, ...], ...] = ((1,),)
@@ -157,7 +157,7 @@ def verify_generating_poly(n: int) -> CheckResult:
     """Coefficients of x (x-1) ... (x-n+1) against the s(n, .) table row."""
     if n < 1:
         raise ValueError(f"verify_generating_poly: n must be >= 1, got {n}")
-    poly = falling_factorial_poly(n)
+    poly = poly_falling_factorial(Polynomial((0, 1)), n)
     lhs = tuple(poly.coefficient(j) for j in range(n + 1))
     rhs = tuple(Fraction(_s(n, j)) for j in range(n + 1))
     return CheckResult(lhs, rhs)

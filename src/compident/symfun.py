@@ -1,7 +1,8 @@
 """Elementary <-> complete symmetric-function conversion and pair catalog.
 
-Three independent routes turn a prefix e_1..e_k into h_k (and back): the
-Toeplitz determinant with unit subdiagonal (h_from_e_det), the convolution
+Three independent routes turn a prefix e_1..e_k into h_k, and each is its
+own inverse: fed h_1..h_k, it gives e_k.  They are the Toeplitz determinant
+with unit subdiagonal (h_from_e_det), the convolution
 h_m = sum_{i=1}^{m} (-1)**(i-1) e_i h_{m-i} (h_from_e_conv, the recurrence
 that also computes the composition transform), and the enumeration of all
 2**(k-1) compositions (compositions.transform_by_enumeration).  They share no
@@ -102,17 +103,14 @@ def _field_determinant(rows: list[list[Any]]) -> Any:
 
 
 def h_from_e_det(e_terms: Sequence[Any]) -> Any:
-    """h_k as the k x k Toeplitz determinant in e_1..e_k (field entries)."""
+    """h_k as the k x k Toeplitz determinant in e_1..e_k (field entries).
+
+    e and h play symmetric roles, so the same determinant in h_1..h_k
+    gives e_k: one call maps e to h and h to e.
+    """
     if not e_terms:
         raise ValueError("h_from_e_det: need at least e_1")
     return _field_determinant(_unit_subdiagonal_toeplitz(e_terms))
-
-
-def e_from_h_det(h_terms: Sequence[Any]) -> Any:
-    """e_k as the dual Toeplitz determinant in h_1..h_k."""
-    if not h_terms:
-        raise ValueError("e_from_h_det: need at least h_1")
-    return _field_determinant(_unit_subdiagonal_toeplitz(h_terms))
 
 
 def h_from_e_conv(e_terms: Sequence[Any]) -> list[Any]:

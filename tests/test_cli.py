@@ -176,6 +176,17 @@ def test_budget_env_var_is_honored():
     assert "cap" in refused.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "--id", "eq5", "--k", "21..21", "--n", "1..1"), ("compositions", "21")],
+)
+def test_budget_refusal_names_only_the_env_var(argv):
+    result = run_cli(*argv)
+    assert result.returncode == 2
+    assert "COMPIDENT_BUDGET" in result.stderr
+    assert "budget=" not in result.stderr
+
+
 def test_list_command():
     result = run_cli("list", "--format", "json")
     assert result.returncode == 0

@@ -17,6 +17,7 @@ from compident.compositions import (
     inner_sum_closed_binomial,
     inner_sum_closed_multichoose,
     inner_sum_positive,
+    transform_by_enumeration,
 )
 from compident.exact_arith import binomial, multichoose
 
@@ -92,9 +93,10 @@ def test_count_laws(k):
         assert sum(1 for _ in enumerate_compositions(k, r)) == binomial(k - 1, r - 1)
 
 
-def test_enumerators_are_streaming():
+def test_enumerators_are_streaming(monkeypatch):
     # far over the budget, but only when fully consumed; prefixes are lazy
-    first = list(islice(enumerate_all_compositions(64, budget=64), 3))
+    monkeypatch.setenv("COMPIDENT_BUDGET", "64")
+    first = list(islice(enumerate_all_compositions(64), 3))
     assert [c.parts for c in first] == [(1,) * 64, (1,) * 62 + (2,), (1,) * 61 + (2, 1)]
     pairs = list(islice(enumerate_compositions(40, 2), 3))
     assert [c.parts for c in pairs] == [(1, 39), (2, 38), (3, 37)]
@@ -234,9 +236,9 @@ def test_budget_enforcement(monkeypatch):
         enumerate_all_compositions(21)
     with pytest.raises(BudgetExceededError):
         inner_sum_positive(lambda i: 1, 21, 2)
-    # explicit budget argument overrides the default cap
-    assert composition_transform(lambda i: 1 if i == 1 else 0, 21, budget=21) == 1
-    # and the environment variable moves the default
+    # the environment variable lifts the default cap
+    monkeypatch.setenv("COMPIDENT_BUDGET", "21")
+    assert composition_transform(lambda i: 1 if i == 1 else 0, 21) == 1
     monkeypatch.setenv("COMPIDENT_BUDGET", "22")
     assert enumeration_budget() == 22
     monkeypatch.setenv("COMPIDENT_BUDGET", "5")
@@ -245,6 +247,29 @@ def test_budget_enforcement(monkeypatch):
     monkeypatch.setenv("COMPIDENT_BUDGET", "zero")
     with pytest.raises(ValueError):
         enumeration_budget()
+
+
+CAPPED = {
+    "composition_transform": composition_transform,
+    "inner_sum_positive": lambda terms, k: inner_sum_positive(terms, k, 2),
+    "transform_by_enumeration": transform_by_enumeration,
+    "enumerate_all_compositions": lambda terms, k: list(enumerate_all_compositions(k)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED))
+def test_capped_function_follows_env_var(monkeypatch, name):
+    monkeypatch.setenv("COMPIDENT_BUDGET", "5")
+    calls = []
+
+    def term(i):
+        calls.append(i)
+        return i
+
+    with pytest.raises(BudgetExceededError, match="COMPIDENT_BUDGET"):
+        CAPPED[name](term, 6)
+    assert calls == []  # refused before any term is evaluated
+    assert CAPPED[name](term, 5) is not None
 
 
 @given(st.integers(1, 10))

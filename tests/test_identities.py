@@ -20,7 +20,6 @@ from compident.identities import (
     DomainError,
     SuiteReport,
     UnknownIdentityError,
-    check_eq17_coefficients,
     default_ranges,
     get_descriptor,
     list_identities,
@@ -318,8 +317,7 @@ def test_polynomial_mode_evaluates_to_pointwise_values(identity_id, k_lo):
 
 
 def test_verify_polynomial_in_n_follows_descriptor_modes():
-    with pytest.warns(DeprecationWarning, match=r'verify_polynomial_in_n\("eq17", k\)'):
-        assert verify_polynomial_in_n("eq17", 4).to_json() == check_eq17_coefficients(4).to_json()
+    assert verify_polynomial_in_n("eq17", 4).to_json() == verify_case("eq17", {"k": 4}).to_json()
     with pytest.raises(DomainError, match="no polynomial_in_n mode"):
         verify_polynomial_in_n("eq42", 3)
     with pytest.raises(UnknownIdentityError):
@@ -327,16 +325,13 @@ def test_verify_polynomial_in_n_follows_descriptor_modes():
 
 
 def test_eq17_coefficients():
-    with pytest.warns(DeprecationWarning):
-        report = check_eq17_coefficients(2)
+    report = verify_polynomial_in_n("eq17", 2)
     assert report.passed
     assert report.lhs == "[0, 1, 1]"
-    with pytest.warns(DeprecationWarning):
-        report = check_eq17_coefficients(1)  # single term -n * C(2,2)
+    report = verify_polynomial_in_n("eq17", 1)  # single term -n * C(2,2)
     assert report.passed and report.lhs == "[0, -1]"
     for k in range(1, 13):
-        with pytest.warns(DeprecationWarning):
-            assert check_eq17_coefficients(k).passed
+        assert verify_polynomial_in_n("eq17", k).passed
 
 
 def test_eq6_hockey_stick_form():

@@ -12,9 +12,9 @@ from compident.poly import (
     Polynomial,
     RationalFunction,
     exact_div,
-    falling_factorial_poly,
     finite_difference,
     poly_binomial,
+    poly_falling_factorial,
     poly_from_json,
     poly_gcd,
     poly_to_json,
@@ -119,16 +119,18 @@ def test_divmod_invariant():
 
 
 def test_falling_factorial_poly_examples():
-    assert falling_factorial_poly(1) == Polynomial((0, 1))
-    assert falling_factorial_poly(3) == Polynomial((0, 2, -3, 1))
-    assert falling_factorial_poly(4).coefficient(1) == -6  # equals s(4, 1)
+    x = Polynomial((0, 1))
+    assert poly_falling_factorial(x, 1) == x
+    assert poly_falling_factorial(x, 3) == Polynomial((0, 2, -3, 1))
+    assert poly_falling_factorial(x, 4).coefficient(1) == -6  # equals s(4, 1)
+    assert poly_falling_factorial(x, 0) == Polynomial((1,))
     with pytest.raises(ValueError):
-        falling_factorial_poly(0)
+        poly_falling_factorial(x, -1)
 
 
 @pytest.mark.parametrize("k", range(1, 16))
 def test_falling_factorial_poly_matches_stirling_row(k):
-    poly = falling_factorial_poly(k)
+    poly = poly_falling_factorial(Polynomial((0, 1)), k)
     oracle = expand_falling_oracle(k)
     assert list(poly.coeffs) == oracle
     for t in range(1, k + 1):
@@ -158,7 +160,7 @@ def test_linear_poly_binomial_makes_no_polynomial_products(monkeypatch):
     monkeypatch.setattr(Polynomial, "__rmul__", counting)
     p = Polynomial((Fraction(1, 3), Fraction(-2, 3)))
     poly_binomial(p, 12)
-    falling_factorial_poly(12)
+    poly_falling_factorial(Polynomial((0, 1)), 12)
     assert calls == []
 
 
