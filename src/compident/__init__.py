@@ -20,7 +20,7 @@ from .compositions import (
     inner_sum_positive,
     transform_by_enumeration,
 )
-from .exact_arith import binomial, falling_factorial, format_scalar, multichoose, parse_rational
+from .exact_arith import binomial, falling_factorial, multichoose, parse_rational
 from .identities import (
     CaseReport,
     DomainError,
@@ -48,8 +48,6 @@ from .poly import (
     poly_to_json,
 )
 from .stirling import (
-    CheckResult,
-    StirlingTable,
     check_eq18,
     check_eq19,
     check_eq31,

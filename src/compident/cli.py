@@ -13,15 +13,17 @@ domain errors (including enumeration-budget refusals), 3 internal errors
 (any other exception, such as an inexact polynomial division or a
 ZeroDivisionError inside an evaluator), reported as one line on stderr,
 and 141 when the reader closes stdout early (`compident compositions 14 |
-head -1`), with nothing on stderr.  A suite streams its cases: it keeps two counts and the first failures, so
-its memory is that of the identity's own tables, not of its grid (except
-pair4/pair5, whose cases each leave one poly_gcd cache entry).  A --a or
---b pin that an --id identity does not draw is noted on stderr and ignored.
-JSON output is the stable machine surface and is byte-identical across
-reruns with the same arguments and seed; pass --timings to include
-wall-clock milliseconds in it (off by default, precisely to keep reruns
-byte-identical).  The COMPIDENT_BUDGET environment variable lifts the
-k <= 20 enumeration cap.
+head -1`), with nothing on stderr.  A suite streams its cases: it keeps
+two counts and the first failures, so its memory is that of the identity's
+own tables, not of its grid (except pair4/pair5, whose cases each leave one
+poly_gcd cache entry that a later case rarely hits).  A --a or --b pin that
+an --id identity does not draw is noted on stderr and ignored.  JSON output
+is the stable machine surface and is byte-identical across reruns with the
+same arguments and seed; pass --timings to include wall-clock milliseconds
+in it (off by default, precisely to keep reruns byte-identical).  Exact
+values and span bounds may have any number of digits: main lifts CPython's
+int <-> str digit limit while it runs.  The COMPIDENT_BUDGET environment
+variable lifts the k <= 20 enumeration cap.
 """
 
 from __future__ import annotations
@@ -30,10 +32,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
 from .compositions import BudgetExceededError, enumerate_all_compositions
-from .exact_arith import format_scalar, parse_rational
+from .exact_arith import parse_rational
 from .identities import (
     DEFAULT_SAMPLES,
     DomainError,
@@ -46,7 +49,7 @@ from .identities import (
     verify_range,
 )
 from .poly import poly_to_json
-from .stirling import StirlingTable
+from .stirling import stirling1
 from .symfun import DEFAULT_SEED, bernoulli, gaussian_binomial
 
 EXIT_OK = 0
@@ -195,7 +198,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_list(args: argparse.Namespace) -> int:
     for descriptor in list_identities():
         if args.format == "json":
-            print(json.dumps(descriptor.summary(), separators=_JSON_SEPARATORS))
+            print(json.dumps(asdict(descriptor), separators=_JSON_SEPARATORS))
         else:
             print(
                 f"{descriptor.id}: {descriptor.statement} "
@@ -210,8 +213,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.name == "stirling":
         if args.n is None or args.n < 1:
             raise DomainError("table stirling requires --n N with N >= 1")
-        table = StirlingTable(args.n)
-        rows = [[str(v) for v in table.row(m)] for m in range(1, args.n + 1)]
+        rows = [[str(stirling1(m, t)) for t in range(1, m + 1)] for m in range(1, args.n + 1)]
         if fmt == "json":
             print(json.dumps({"table": "stirling", "n": args.n, "rows": rows},
                              separators=_JSON_SEPARATORS))
@@ -222,7 +224,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.name == "bernoulli":
         if args.max is None or args.max < 0:
             raise DomainError("table bernoulli requires --max M with M >= 0")
-        values = [format_scalar(bernoulli(m)) for m in range(args.max + 1)]
+        values = [str(bernoulli(m)) for m in range(args.max + 1)]
         if fmt == "json":
             print(json.dumps({"table": "bernoulli", "max": args.max, "values": values},
                              separators=_JSON_SEPARATORS))
@@ -270,6 +272,20 @@ def _discard_stdout() -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # Exact values and span bounds can pass the 4300-digit limit that CPython
+    # 3.10.7+ puts on int <-> str conversion: lift it for this run only, so an
+    # in-process caller gets its own limit back.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def _run(argv: Sequence[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, pairwise
 from math import lcm
 from typing import Any, Callable, Iterator, Sequence
 
@@ -98,13 +99,11 @@ def enumerate_compositions(k: int, r: int) -> Iterator[Composition]:
     return (Composition(parts) for parts in _positive_parts(k, r))
 
 
-def _positive_parts(remaining: int, slots: int) -> Iterator[tuple[int, ...]]:
-    if slots == 1:
-        yield (remaining,)
-        return
-    for first in range(1, remaining - slots + 2):
-        for rest in _positive_parts(remaining - first, slots - 1):
-            yield (first, *rest)
+def _positive_parts(total: int, slots: int) -> Iterator[tuple[int, ...]]:
+    # the parts' partial sums are slots - 1 cuts inside 1..total-1, and
+    # combinations yields the cuts, so the parts, in lexicographic order
+    for cuts in combinations(range(1, total), slots - 1):
+        yield tuple(b - a for a, b in pairwise((0, *cuts, total)))
 
 
 def enumerate_all_compositions(k: int) -> Iterator[Composition]:

@@ -4,7 +4,9 @@ Every quantity in this package is exact: plain ``int`` (arbitrary precision)
 for integers and ``fractions.Fraction`` for rationals.  ``Fraction`` already
 guarantees the normal form the rest of the library relies on -- reduced to
 lowest terms, positive denominator, zero stored as 0/1 -- so value equality
-is structural equality.  No floating point is used anywhere.
+is structural equality, and ``str`` writes every scalar in the serialized
+form: ``n`` for an int or a Fraction with denominator 1, ``n/d`` otherwise.
+No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -66,15 +68,6 @@ def falling_factorial(x: Any, k: int) -> Any:
     for i in range(1, k):
         result = result * (x - i)
     return result
-
-
-def format_scalar(value: int | Fraction) -> str:
-    """Serialize a scalar: decimal string, or "num/den" when den > 1."""
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    return str(value)
 
 
 def parse_rational(text: str) -> Fraction:

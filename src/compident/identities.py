@@ -32,7 +32,7 @@ from math import comb
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .compositions import composition_transform, transform_by_enumeration
-from .exact_arith import DomainError, binomial, format_scalar, multichoose
+from .exact_arith import DomainError, binomial, multichoose
 from .poly import (
     Polynomial,
     RationalFunction,
@@ -71,16 +71,6 @@ class IdentityDescriptor:
     params: tuple[str, ...]
     modes: tuple[str, ...]
     domain: str
-
-    def summary(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "statement": self.statement,
-            "ring": self.ring,
-            "params": list(self.params),
-            "modes": list(self.modes),
-            "domain": self.domain,
-        }
 
 
 @dataclass
@@ -192,7 +182,7 @@ def _registration(identity_id: str) -> _Registration:
 
 def _serialize_value(value: Any) -> str:
     if isinstance(value, (int, Fraction)):
-        return format_scalar(value)
+        return str(value)
     if isinstance(value, Polynomial):
         return json.dumps(poly_to_json(value), separators=(",", ":"))
     if isinstance(value, RationalFunction):
@@ -247,13 +237,11 @@ def _eval_eq17(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
 
 
 def _eval_eq18(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
-    result = check_eq18(p["k"], p["t"])
-    return result.lhs, result.rhs, {}
+    return (*check_eq18(p["k"], p["t"]), {})
 
 
 def _eval_eq19(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
-    result = check_eq19(p["k"], p["t"])
-    return result.lhs, result.rhs, {}
+    return (*check_eq19(p["k"], p["t"]), {})
 
 
 def _eval_eq29(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
@@ -267,8 +255,7 @@ def _eval_eq29(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
 
 
 def _eval_eq31(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
-    result = check_eq31(p["k"], p["t"])
-    return result.lhs, result.rhs, {}
+    return (*check_eq31(p["k"], p["t"]), {})
 
 
 def _eval_eq36(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
@@ -282,8 +269,8 @@ def _eval_eq36(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
         )
         for i in range(1, k)
     )
-    rhs = Fraction(x, x + k * n) * binomial(x + k * n, k) + (-1) ** k * binomial(x, k)
-    return Fraction(lhs), Fraction(rhs), {}
+    rhs = rothe_hagen_A(x, n, k) + (-1) ** k * binomial(x, k)
+    return Fraction(lhs), rhs, {}
 
 
 def _eval_eq37(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
@@ -306,8 +293,7 @@ def _eval_eq38(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
 
 
 def _eval_eq41(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
-    result = check_eq41(p["n"], p["t"])
-    return result.lhs, result.rhs, {}
+    return (*check_eq41(p["n"], p["t"]), {})
 
 
 def _eval_eq42(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
@@ -569,7 +555,7 @@ def _pair_evaluator(pair: _Pair, direction: str) -> _Evaluator:
         graded = pair.terms_id in GRADED_PAIR_IDS
         terms = graded_pair_terms if graded else pair_terms
         e_seq, h_seq = terms(pair.terms_id, {**integers, **rationals}, k)
-        extras = {name: format_scalar(value) for name, value in rationals.items()}
+        extras = {name: str(value) for name, value in rationals.items()}
         source, target = (e_seq, h_seq) if direction == "eh" else (h_seq, e_seq)
         lhs = composition_transform(lambda i: source[i - 1], k)
         rhs = target[k - 1]
@@ -735,7 +721,7 @@ def verify_range(
     the first MAX_REPORTED_FAILURES failing reports are kept, so no passing
     report outlives its case.  The pair4/pair5 suites still grow with the
     grid: each case's reduction adds one entry to poly_gcd's lru_cache
-    (up to 8192), and no later case hits it.
+    (up to 8192), and a later case rarely hits it.
     """
     reg = _registration(identity_id)
     if ranges is None:

@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import comb, factorial, gcd as int_gcd, inf, lcm
 from typing import Any, Iterable, Iterator
 
-from .exact_arith import falling_factorial, format_scalar
+from .exact_arith import falling_factorial
 
 
 def _coerce_coeff(value: Any) -> Fraction:
@@ -272,7 +272,7 @@ class Polynomial:
         return _make(list(self._num), lead)
 
     def __repr__(self) -> str:
-        return f"Polynomial({[format_scalar(c) for c in self.coeffs]})"
+        return f"Polynomial({[str(c) for c in self.coeffs]})"
 
     def __str__(self) -> str:
         if not self._num:
@@ -282,11 +282,11 @@ class Polynomial:
             if not c:
                 continue
             if power == 0:
-                chunks.append(format_scalar(c))
+                chunks.append(str(c))
             elif power == 1:
-                chunks.append(f"{format_scalar(c)}*x")
+                chunks.append(f"{c}*x")
             else:
-                chunks.append(f"{format_scalar(c)}*x^{power}")
+                chunks.append(f"{c}*x^{power}")
         return " + ".join(chunks)
 
 
@@ -310,9 +310,7 @@ def _primitive(values: list[int]) -> list[int]:
         values.pop()
     if not values:
         return values
-    g = 0
-    for c in values:
-        g = int_gcd(g, c)
+    g = int_gcd(*values)
     if values[-1] < 0:
         g = -g
     return [c // g for c in values]
@@ -586,7 +584,7 @@ class RationalFunction:
 
 def poly_to_json(p: Polynomial) -> list[str]:
     """Coefficient strings, lowest degree first."""
-    return [format_scalar(c) for c in p.coeffs]
+    return [str(c) for c in p.coeffs]
 
 
 def poly_from_json(items: Iterable[str]) -> Polynomial:

@@ -187,6 +187,25 @@ def test_budget_refusal_names_only_the_env_var(argv):
     assert "budget=" not in result.stderr
 
 
+_TEN_TO_120 = "1" + "0" * 120
+_DIGITS_4401 = "1" + "0" * 4400  # built without an int -> str conversion
+
+
+@pytest.mark.parametrize("argv", [
+    # the exact sides at n = 10**120 have more than 4300 digits
+    ["verify", "--id", "eq13", "--k", "40..40", "--n", f"{_TEN_TO_120}..{_TEN_TO_120}"],
+    ["verify", "--id", "eq38", "--k", "2..2", "--n", f"{_DIGITS_4401}..{_DIGITS_4401}"],
+])
+def test_values_past_the_int_str_digit_limit(argv, capsys):
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    assert main(argv + ["--format", "json"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    payload = json.loads(line)
+    assert payload["cases"] == 1 and payload["failed"] == 0
+    if limit is not None:  # the caller's own limit is back
+        assert sys.get_int_max_str_digits() == limit
+
+
 def test_list_command():
     result = run_cli("list", "--format", "json")
     assert result.returncode == 0

@@ -48,8 +48,7 @@ def test_registry_is_complete_and_ordered():
         assert d.statement
         assert d.ring in ("integer", "rational", "polynomial_q", "rational_function_q")
         assert d.params
-        summary = d.summary()
-        assert set(summary) == {"id", "statement", "ring", "params", "modes", "domain"}
+        assert set(dataclasses.asdict(d)) == {"id", "statement", "ring", "params", "modes", "domain"}
 
 
 def test_descriptor_lookup():

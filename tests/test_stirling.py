@@ -5,8 +5,6 @@ from math import factorial
 import pytest
 
 from compident.stirling import (
-    CheckResult,
-    StirlingTable,
     check_eq18,
     check_eq19,
     check_eq31,
@@ -59,34 +57,13 @@ def test_row_sums():
         assert sum(abs(stirling1(n, t)) for t in range(1, n + 1)) == factorial(n)
 
 
-def test_table_object():
-    table = StirlingTable(4)
-    assert table.row(4) == (-6, 11, -6, 1)
-    assert table.value(0, 0) == 1
-    assert table.value(0, 1) == 0
-    assert table.value(3, 9) == 0
-    with pytest.raises(IndexError):
-        table.value(5, 1)
-    with pytest.raises(ValueError):
-        table.row(0)
-    with pytest.raises(ValueError):
-        StirlingTable(-1)
-
-
-def test_check_result_semantics():
-    good = CheckResult(3, 3)
-    bad = CheckResult(3, 4)
-    assert good.passed and bool(good)
-    assert not bad.passed and not bool(bad)
-
-
 def test_check_eq19_examples():
-    result = check_eq19(3, 1)
-    assert result.lhs == -3 and result.rhs == -3 and result.passed
+    lhs, rhs = check_eq19(3, 1)
+    assert lhs == -3 and rhs == -3
     for k in range(1, 10):
-        edge = check_eq19(k, k)
-        assert edge.lhs == 0 and edge.rhs == 0
-    assert check_eq19(5, 2).passed
+        assert check_eq19(k, k) == (0, 0)
+    lhs, rhs = check_eq19(5, 2)
+    assert lhs == rhs
     with pytest.raises(ValueError):
         check_eq19(3, 0)
     with pytest.raises(ValueError):
@@ -94,42 +71,49 @@ def test_check_eq19_examples():
 
 
 def test_check_eq18_examples():
-    result = check_eq18(2, 1)
-    assert result.lhs == 1 and result.rhs == 1
+    lhs, rhs = check_eq18(2, 1)
+    assert lhs == 1 and rhs == 1
     # forced 0**0 == 1 convention at k = 1
-    corner = check_eq18(1, 1)
-    assert corner.lhs == 1 and corner.rhs == 1
-    result = check_eq18(4, 2)
-    assert result.rhs == stirling1(4, 2) == 11 and result.passed
+    lhs, rhs = check_eq18(1, 1)
+    assert lhs == 1 and rhs == 1
+    lhs, rhs = check_eq18(4, 2)
+    assert rhs == stirling1(4, 2) == 11 and lhs == rhs
 
 
 def test_eq18_eq19_full_triangle():
     for k in range(1, 26):
         for t in range(1, k + 1):
-            assert check_eq18(k, t).passed, (k, t)
-            assert check_eq19(k, t).passed, (k, t)
+            lhs, rhs = check_eq18(k, t)
+            assert lhs == rhs, (k, t)
+            lhs, rhs = check_eq19(k, t)
+            assert lhs == rhs, (k, t)
 
 
 def test_check_eq31():
-    corner = check_eq31(1, 1)
-    assert corner.lhs == 1 and corner.rhs == 1
-    assert check_eq31(3, 1).rhs == stirling1(3, 1) + 3 * stirling1(2, 1) == -1
-    assert check_eq31(4, 4).passed
+    lhs, rhs = check_eq31(1, 1)
+    assert lhs == 1 and rhs == 1
+    lhs, rhs = check_eq31(3, 1)
+    assert rhs == stirling1(3, 1) + 3 * stirling1(2, 1) == -1
+    lhs, rhs = check_eq31(4, 4)
+    assert lhs == rhs
     for k in range(1, 13):
         for t in range(1, k + 1):
-            assert check_eq31(k, t).passed, (k, t)
+            lhs, rhs = check_eq31(k, t)
+            assert lhs == rhs, (k, t)
     with pytest.raises(ValueError):
         check_eq31(2, 3)
 
 
 def test_check_eq41():
-    result = check_eq41(3, 2)
-    assert result.lhs == 0 and result.passed
+    lhs, rhs = check_eq41(3, 2)
+    assert lhs == 0 and lhs == rhs
     # t > n: s(n, t) = 0 forces a pass
-    assert check_eq41(2, 9).passed
+    lhs, rhs = check_eq41(2, 9)
+    assert lhs == rhs
     for n in range(1, 13):
         for t in range(2, 13):
-            assert check_eq41(n, t).passed, (n, t)
+            lhs, rhs = check_eq41(n, t)
+            assert lhs == rhs, (n, t)
     with pytest.raises(ValueError):
         check_eq41(3, 1)
     with pytest.raises(ValueError):
@@ -137,9 +121,11 @@ def test_check_eq41():
 
 
 def test_verify_generating_poly():
-    assert verify_generating_poly(1).passed
-    result = verify_generating_poly(3)
-    assert result.passed and list(result.lhs) == [0, 2, -3, 1]
-    assert verify_generating_poly(10).passed
+    lhs, rhs = verify_generating_poly(1)
+    assert lhs == rhs
+    lhs, rhs = verify_generating_poly(3)
+    assert lhs == rhs and list(lhs) == [0, 2, -3, 1]
+    lhs, rhs = verify_generating_poly(10)
+    assert lhs == rhs
     with pytest.raises(ValueError):
         verify_generating_poly(0)
