@@ -47,14 +47,7 @@ from .poly import (
     poly_gcd,
     poly_to_json,
 )
-from .stirling import (
-    check_eq18,
-    check_eq19,
-    check_eq31,
-    check_eq41,
-    stirling1,
-    verify_generating_poly,
-)
+from .stirling import check_eq18, check_eq19, check_eq31, check_eq41, stirling1
 from .symfun import (
     DEFAULT_SEED,
     PAIR_IDS,

@@ -213,10 +213,14 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.name == "stirling":
         if args.n is None or args.n < 1:
             raise DomainError("table stirling requires --n N with N >= 1")
-        rows = [[str(stirling1(m, t)) for t in range(1, m + 1)] for m in range(1, args.n + 1)]
+        # one row at a time: the whole table is 27 MB of text at n = 400
+        rows = ([str(stirling1(m, t)) for t in range(1, m + 1)] for m in range(1, args.n + 1))
         if fmt == "json":
-            print(json.dumps({"table": "stirling", "n": args.n, "rows": rows},
-                             separators=_JSON_SEPARATORS))
+            write = sys.stdout.write
+            write(f'{{"table":"stirling","n":{args.n},"rows":[')
+            for m, row in enumerate(rows):
+                write(("," if m else "") + json.dumps(row, separators=_JSON_SEPARATORS))
+            write("]}\n")
         else:
             for row in rows:
                 print(" ".join(row))

@@ -3,15 +3,27 @@
 Twenty-five identities live in a frozen registry (eq5 ... eq47 for the
 binomial/Stirling/Rothe-Hagen family, lemma7_roundtrip for the generic
 three-route agreement, pair1_eh ... pair5_he for the sequence-pair catalog).
-Each entry knows its formula statement, ring, parameter domain, default
-verification ranges, and a pure evaluator that produces both sides exactly.
+Each entry is made by one ``_register`` call from its statement, ring, an
+ordered dict of each parameter's lower bound (which gives its params, domain
+text and domain predicate, unless the domain relates two parameters), its
+modes, default verification grids, and a pure evaluator
+``(params, rng) -> (lhs, rhs)`` that produces both sides exactly.
 The pair entries come from one table, ``_PAIRS``, with a row per (e, h)
 pair: its pair_terms id, ring, e_k and h_k statements, the rationals (a, b)
 it draws per sample, and its integer parameters' spans.  Both directions
 are registered from the row, and the CLI asks ``pair_rationals`` which
-bindings an explicit --a/--b pins.  The q_exp and q_cauchy pairs run the
-transform on symfun's graded terms (numerators over phi_k) and reduce to a
-RationalFunction once per case.
+bindings an explicit --a/--b pins.
+
+``verify_case`` is the one path from a binding to a verdict.  For an
+identity with a ``sample`` parameter it opens one stream,
+``seeded_rng(seed, stream, sample)``: the pair's row label (so _eh and _he
+share their draws) or "lemma7".  It draws the pair rationals from that
+stream, binds them into the params, and hands the evaluator the same
+stream.  It then compares the sides and serializes the lhs; equal sides
+are serialized once, since every value has one canonical form.  The q_exp
+and q_cauchy pairs run the transform on symfun's graded terms (numerators
+over phi_k), so serializing reduces to a RationalFunction once per passing
+case.
 
 Verification is pointwise (parameters substituted, exact values compared) or
 coefficientwise as polynomial identities in n for eq13, eq29, eq47 (those
@@ -29,6 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as cartesian_product
 from math import comb
+from random import Random
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .compositions import composition_transform, transform_by_enumeration
@@ -44,6 +57,7 @@ from .stirling import check_eq18, check_eq19, check_eq31, check_eq41, stirling1
 from .symfun import (
     DEFAULT_SEED,
     GRADED_PAIR_IDS,
+    QGraded,
     graded_pair_terms,
     h_from_e_conv,
     h_from_e_det,
@@ -117,16 +131,14 @@ class SuiteReport:
         }
 
 
-@dataclass(frozen=True)
-class _Context:
-    seed: int = DEFAULT_SEED
-    a: Fraction | None = None
-    b: Fraction | None = None
-
-
-_EvalResult = tuple[Any, Any, dict[str, str]]
-_Evaluator = Callable[[Mapping[str, int], _Context], _EvalResult]
+_Sides = tuple[Any, Any]
+_Evaluator = Callable[[Mapping[str, Any], Random | None], _Sides]
 _RangeDict = dict[str, tuple[int, int]]
+
+
+def _n_optional(modes: Sequence[str]) -> bool:
+    # a formula run in both modes binds an omitted n to the polynomial x
+    return {"pointwise", "polynomial_in_n"} <= set(modes)
 
 
 @dataclass(frozen=True)
@@ -136,13 +148,11 @@ class _Registration:
     evaluate: _Evaluator
     grids: tuple[_RangeDict, ...]
     rationals: tuple[str, ...]  # pair rationals drawn per sample
+    stream: str  # seeded_rng label of each sample's stream
 
     @property
     def optional_params(self) -> frozenset[str]:
-        # a formula run in both modes binds an omitted n to the polynomial x
-        if {"pointwise", "polynomial_in_n"} <= set(self.descriptor.modes):
-            return frozenset({"n"})
-        return frozenset()
+        return frozenset({"n"}) if _n_optional(self.descriptor.modes) else frozenset()
 
 
 _REGISTRY: dict[str, _Registration] = {}
@@ -152,23 +162,37 @@ def _register(
     identity_id: str,
     statement: str,
     ring: str,
-    params: Sequence[str],
+    lower: Mapping[str, int],
     modes: Sequence[str],
-    domain: str,
-    valid: Callable[[Mapping[str, int]], bool],
     evaluate: _Evaluator,
     *grids: _RangeDict,
     rationals: tuple[str, ...] = (),
+    stream: str = "",
+    domain: str = "",
+    valid: Callable[[Mapping[str, int]], bool] | None = None,
 ) -> None:
+    """Add one identity to the registry.
+
+    ``lower`` maps each parameter, in order, to its least value.  It gives
+    the descriptor's params and, unless ``domain`` and ``valid`` are passed
+    for a domain that relates two parameters, the domain text and the
+    predicate.  ``evaluate(params, rng)`` returns the exact (lhs, rhs) of
+    one binding.  ``rationals`` names the pair rationals that verify_case
+    draws for each sample from ``seeded_rng(seed, stream, sample)`` and
+    binds into those params; the evaluator gets the same stream as ``rng``.
+    """
+    if valid is None:
+        domain = ", ".join(f"{name} >= {lo}" for name, lo in lower.items())
+        if _n_optional(modes):
+            domain += " (omit n for the coefficientwise polynomial check)"
+
+        def valid(p: Mapping[str, int]) -> bool:
+            return all(p[name] >= lo for name, lo in lower.items() if name in p)
+
     descriptor = IdentityDescriptor(
-        id=identity_id,
-        statement=statement,
-        ring=ring,
-        params=tuple(params),
-        modes=tuple(modes),
-        domain=domain,
+        identity_id, statement, ring, tuple(lower), tuple(modes), domain
     )
-    _REGISTRY[identity_id] = _Registration(descriptor, valid, evaluate, grids, rationals)
+    _REGISTRY[identity_id] = _Registration(descriptor, valid, evaluate, grids, rationals, stream)
 
 
 def _registration(identity_id: str) -> _Registration:
@@ -181,6 +205,8 @@ def _registration(identity_id: str) -> _Registration:
 
 
 def _serialize_value(value: Any) -> str:
+    if isinstance(value, QGraded):  # a tuple too: reduce it first
+        value = value.reduced()
     if isinstance(value, (int, Fraction)):
         return str(value)
     if isinstance(value, Polynomial):
@@ -193,7 +219,8 @@ def _serialize_value(value: Any) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluators.  Each returns (lhs, rhs, extra report params).
+# Evaluators.  Each takes the bound params and the sample's stream (None
+# without a sample parameter) and returns (lhs, rhs).
 
 _N = Polynomial((0, 1))  # n when none is bound: polynomial-in-n mode
 
@@ -204,25 +231,25 @@ def _binom(x: int | Polynomial, k: int) -> int | Polynomial:
     return binomial(x, k) if isinstance(x, int) else poly_binomial(x, k)
 
 
-def _eval_eq5(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
+def _eval_eq5(p: Mapping[str, Any], rng: Random | None) -> _Sides:
     k, n = p["k"], p["n"]
     lhs = composition_transform(lambda i: binomial(n, i), k)
-    return lhs, binomial(n + k - 1, k), {}
+    return lhs, binomial(n + k - 1, k)
 
 
-def _eval_eq6(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
+def _eval_eq6(p: Mapping[str, Any], rng: Random | None) -> _Sides:
     k, n = p["k"], p["n"]
     lhs = sum(binomial(j + k - 2, k - 1) for j in range(1, n + 1))
-    return lhs, binomial(n + k - 1, k), {}
+    return lhs, binomial(n + k - 1, k)
 
 
-def _eval_eq13(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
+def _eval_eq13(p: Mapping[str, Any], rng: Random | None) -> _Sides:
     k, n = p["k"], p.get("n", _N)
     lhs = sum(_binom(n * i, k) * ((-1) ** i * comb(k + 1, i + 1)) for i in range(1, k + 1))
-    return lhs, (-1) ** k * _binom(n + k - 1, k), {}
+    return lhs, (-1) ** k * _binom(n + k - 1, k)
 
 
-def _eval_eq17(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
+def _eval_eq17(p: Mapping[str, Any], rng: Random | None) -> _Sides:
     k = p["k"]
     lhs_poly = sum(
         poly_falling_factorial(_N * i, k) * ((-1) ** i * comb(k + 1, i + 1))
@@ -233,32 +260,32 @@ def _eval_eq17(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
         Fraction(0) if t == 0 else Fraction((-1) ** t * stirling1(k, t))
         for t in range(k + 1)
     )
-    return lhs, rhs, {}
+    return lhs, rhs
 
 
-def _eval_eq18(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
-    return (*check_eq18(p["k"], p["t"]), {})
+def _eval_eq18(p: Mapping[str, Any], rng: Random | None) -> _Sides:
+    return check_eq18(p["k"], p["t"])
 
 
-def _eval_eq19(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
-    return (*check_eq19(p["k"], p["t"]), {})
+def _eval_eq19(p: Mapping[str, Any], rng: Random | None) -> _Sides:
+    return check_eq19(p["k"], p["t"])
 
 
-def _eval_eq29(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
+def _eval_eq29(p: Mapping[str, Any], rng: Random | None) -> _Sides:
     k, n = p["k"], p.get("n", _N)
     lhs = sum(
         (_binom((n - 1) * i, k) - _binom(n * i, k)) * ((-1) ** i * comb(k + 1, i + 1))
         for i in range(1, k + 1)
     )
     rhs = sum(_binom(n * i, k - 1) * ((-1) ** i * comb(k, i + 1)) for i in range(1, k))
-    return lhs, rhs, {}
+    return lhs, rhs
 
 
-def _eval_eq31(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
-    return (*check_eq31(p["k"], p["t"]), {})
+def _eval_eq31(p: Mapping[str, Any], rng: Random | None) -> _Sides:
+    return check_eq31(p["k"], p["t"])
 
 
-def _eval_eq36(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
+def _eval_eq36(p: Mapping[str, Any], rng: Random | None) -> _Sides:
     x, n, k = p["x"], p["n"], p["k"]
     lhs = sum(
         (
@@ -270,49 +297,48 @@ def _eval_eq36(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
         for i in range(1, k)
     )
     rhs = rothe_hagen_A(x, n, k) + (-1) ** k * binomial(x, k)
-    return Fraction(lhs), rhs, {}
+    return Fraction(lhs), rhs
 
 
-def _eval_eq37(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
+def _eval_eq37(p: Mapping[str, Any], rng: Random | None) -> _Sides:
     x, n, k = p["x"], p["n"], p["k"]
     lhs = sum(
         (-1) ** (i - 1) * comb(k, i) * binomial(x + i * n, k) * Fraction(1, x + i * n)
         for i in range(1, k + 1)
     )
-    return Fraction(lhs), Fraction(0), {}
+    return Fraction(lhs), Fraction(0)
 
 
-def _eval_eq38(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
+def _eval_eq38(p: Mapping[str, Any], rng: Random | None) -> _Sides:
     k, n = p["k"], p["n"]
     lhs = sum(
         Fraction((-1) ** (i - 1), i) * binomial(i * n, k) * comb(k, i)
         for i in range(1, k + 1)
     )
     rhs = Fraction((-1) ** (k - 1) * n, k)
-    return Fraction(lhs), rhs, {}
+    return Fraction(lhs), rhs
 
 
-def _eval_eq41(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
-    return (*check_eq41(p["n"], p["t"]), {})
+def _eval_eq41(p: Mapping[str, Any], rng: Random | None) -> _Sides:
+    return check_eq41(p["n"], p["t"])
 
 
-def _eval_eq42(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
+def _eval_eq42(p: Mapping[str, Any], rng: Random | None) -> _Sides:
     k, n = p["k"], p["n"]
     lhs = composition_transform(lambda i: multichoose(n, i), k)
-    return lhs, binomial(n, k), {}
+    return lhs, binomial(n, k)
 
 
-def _eval_eq47(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
+def _eval_eq47(p: Mapping[str, Any], rng: Random | None) -> _Sides:
     k, n = p["k"], p.get("n", _N)
     lhs = sum(
         _binom(n * i + k - 1, k) * ((-1) ** i * comb(k + 1, i + 1)) for i in range(1, k + 1)
     )
-    return lhs, (-1) ** k * _binom(n, k), {}
+    return lhs, (-1) ** k * _binom(n, k)
 
 
-def _eval_lemma7(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
-    sample, k = p["sample"], p["k"]
-    rng = seeded_rng(ctx.seed, "lemma7", sample)
+def _eval_lemma7(p: Mapping[str, Any], rng: Random | None) -> _Sides:
+    k = p["k"]
     e_seq = [random_rational(rng) for _ in range(k)]
     h_seq = h_from_e_conv(e_seq)
     det_h = h_from_e_det(e_seq)
@@ -321,7 +347,7 @@ def _eval_lemma7(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
     recovered_e = composition_transform(lambda i: h_seq[i - 1], k)
     lhs = (det_h, transform_h, recovered_e)
     rhs = (h_seq[-1], h_seq[-1], e_seq[-1])
-    return lhs, rhs, {}
+    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +357,8 @@ _register(
     "eq5",
     "sum_{r=1}^{k} (-1)^(k-r) sum_{k_1+...+k_r=k, k_i>=1} prod_i C(n,k_i) == C(n+k-1,k)",
     "integer",
-    ("k", "n"),
+    {"k": 1, "n": 0},
     ("pointwise",),
-    "k >= 1, n >= 0",
-    lambda p: p["k"] >= 1 and p["n"] >= 0,
     _eval_eq5,
     {"k": (1, 10), "n": (0, 10)},
 )
@@ -343,10 +367,8 @@ _register(
     "eq6",
     "sum_{j=1}^{n} C(j+k-2,k-1) == C(n+k-1,k)",
     "integer",
-    ("k", "n"),
+    {"k": 1, "n": 1},
     ("pointwise",),
-    "k >= 1, n >= 1",
-    lambda p: p["k"] >= 1 and p["n"] >= 1,
     _eval_eq6,
     {"k": (1, 15), "n": (1, 15)},
 )
@@ -355,10 +377,8 @@ _register(
     "eq13",
     "sum_{i=1}^{k} (-1)^i C(n*i,k) C(k+1,i+1) == (-1)^k C(n+k-1,k)",
     "integer",
-    ("k", "n"),
+    {"k": 1, "n": 0},
     ("pointwise", "polynomial_in_n"),
-    "k >= 1, n >= 0 (omit n for the coefficientwise polynomial check)",
-    lambda p: p["k"] >= 1 and p.get("n", 0) >= 0,
     _eval_eq13,
     {"k": (1, 20)}, {"k": (1, 12), "n": (0, 12)},
 )
@@ -367,10 +387,8 @@ _register(
     "eq17",
     "coeff of n^t in sum_{i=1}^{k} (-1)^i (i*n)(i*n-1)...(i*n-k+1) C(k+1,i+1) == (-1)^t s(k,t), constant term 0",
     "integer",
-    ("k",),
+    {"k": 1},
     ("polynomial_in_n",),
-    "k >= 1",
-    lambda p: p["k"] >= 1,
     _eval_eq17,
     {"k": (1, 12)},
 )
@@ -379,34 +397,32 @@ _register(
     "eq18",
     "sum_{j=t}^{k} C(j,t) s(k,j) (k-1)^(j-t) == (-1)^(k+t) s(k,t)",
     "integer",
-    ("k", "t"),
+    {"k": 1, "t": 1},
     ("pointwise",),
-    "1 <= t <= k",
-    lambda p: 1 <= p["t"] <= p["k"],
     _eval_eq18,
     {"k": (1, 25), "t": (1, 25)},
+    domain="1 <= t <= k",
+    valid=lambda p: 1 <= p["t"] <= p["k"],
 )
 
 _register(
     "eq19",
     "sum_{j=t+1}^{k} C(j,t) s(k,j) == k s(k-1,t)",
     "integer",
-    ("k", "t"),
+    {"k": 1, "t": 1},
     ("pointwise",),
-    "1 <= t <= k",
-    lambda p: 1 <= p["t"] <= p["k"],
     _eval_eq19,
     {"k": (1, 25), "t": (1, 25)},
+    domain="1 <= t <= k",
+    valid=lambda p: 1 <= p["t"] <= p["k"],
 )
 
 _register(
     "eq29",
     "sum_{i=1}^{k} (-1)^i (C((n-1)i,k) - C(n*i,k)) C(k+1,i+1) == sum_{i=1}^{k-1} (-1)^i C(n*i,k-1) C(k,i+1)",
     "integer",
-    ("k", "n"),
+    {"k": 2, "n": 0},
     ("pointwise", "polynomial_in_n"),
-    "k >= 2, n >= 0 (omit n for the coefficientwise polynomial check)",
-    lambda p: p["k"] >= 2 and p.get("n", 0) >= 0,
     _eval_eq29,
     {"k": (2, 15)},
 )
@@ -415,22 +431,20 @@ _register(
     "eq31",
     "sum_{r=t}^{k} (-1)^r C(r,t) s(k,r) sum_{i=0}^{k} (-1)^i C(k+1,i+1) i^r == s(k,t) + k s(k-1,t)",
     "integer",
-    ("k", "t"),
+    {"k": 1, "t": 1},
     ("pointwise",),
-    "1 <= t <= k",
-    lambda p: 1 <= p["t"] <= p["k"],
     _eval_eq31,
     {"k": (1, 12), "t": (1, 12)},
+    domain="1 <= t <= k",
+    valid=lambda p: 1 <= p["t"] <= p["k"],
 )
 
 _register(
     "eq36",
     "sum_{i=1}^{k-1} (-1)^(i+k+1) C(k,i) C(x+i*n,k) x/(x+i*n) == x/(x+k*n) C(x+k*n,k) + (-1)^k C(x,k)",
     "rational",
-    ("x", "n", "k"),
+    {"x": 1, "n": 1, "k": 1},
     ("pointwise",),
-    "x >= 1, n >= 1, k >= 1",
-    lambda p: p["x"] >= 1 and p["n"] >= 1 and p["k"] >= 1,
     _eval_eq36,
     {"x": (1, 6), "n": (1, 6), "k": (1, 8)},
 )
@@ -439,22 +453,20 @@ _register(
     "eq37",
     "sum_{i=1}^{k} (-1)^(i-1) C(k,i) C(x+i*n,k) / (x+i*n) == 0",
     "rational",
-    ("x", "n", "k"),
+    {"x": 1, "n": 1, "k": 2},
     ("pointwise",),
-    "1 <= x < k, n >= 1",
-    lambda p: 1 <= p["x"] < p["k"] and p["n"] >= 1,
     _eval_eq37,
     {"x": (1, 9), "n": (1, 6), "k": (2, 10)},
+    domain="1 <= x < k, n >= 1",
+    valid=lambda p: 1 <= p["x"] < p["k"] and p["n"] >= 1,
 )
 
 _register(
     "eq38",
     "sum_{i=1}^{k} (-1)^(i-1)/i C(i*n,k) C(k,i) == (-1)^(k-1) n/k",
     "rational",
-    ("k", "n"),
+    {"k": 1, "n": 1},
     ("pointwise",),
-    "k >= 1, n >= 1",
-    lambda p: p["k"] >= 1 and p["n"] >= 1,
     _eval_eq38,
     {"k": (1, 15), "n": (1, 15)},
 )
@@ -463,10 +475,8 @@ _register(
     "eq41",
     "s(n,t) sum_{i=1}^{n} (-1)^(i-1) C(n,i) i^(t-1) == 0",
     "integer",
-    ("n", "t"),
+    {"n": 1, "t": 2},
     ("pointwise",),
-    "n >= 1, t >= 2",
-    lambda p: p["n"] >= 1 and p["t"] >= 2,
     _eval_eq41,
     {"n": (1, 12), "t": (2, 12)},
 )
@@ -475,10 +485,8 @@ _register(
     "eq42",
     "sum_{r=1}^{k} (-1)^(k-r) sum_{k_1+...+k_r=k, k_i>=1} prod_i C(n+k_i-1,k_i) == C(n,k)",
     "integer",
-    ("k", "n"),
+    {"k": 1, "n": 1},
     ("pointwise",),
-    "k >= 1, n >= 1",
-    lambda p: p["k"] >= 1 and p["n"] >= 1,
     _eval_eq42,
     {"k": (1, 10), "n": (1, 10)},
 )
@@ -487,10 +495,8 @@ _register(
     "eq47",
     "sum_{i=1}^{k} (-1)^i C(n*i+k-1,k) C(k+1,i+1) == (-1)^k C(n,k)",
     "integer",
-    ("k", "n"),
+    {"k": 1, "n": 0},
     ("pointwise", "polynomial_in_n"),
-    "k >= 1, n >= 0 (omit n for the coefficientwise polynomial check)",
-    lambda p: p["k"] >= 1 and p.get("n", 0) >= 0,
     _eval_eq47,
     {"k": (1, 20)}, {"k": (1, 12), "n": (0, 12)},
 )
@@ -499,12 +505,11 @@ _register(
     "lemma7_roundtrip",
     "for seeded random rational e_1..e_k: determinant, convolution, and composition-transform routes agree on h_k, and the transform of h_1..h_k recovers e_k",
     "rational",
-    ("sample", "k"),
+    {"sample": 0, "k": 1},
     ("pointwise",),
-    "sample >= 0, k >= 1",
-    lambda p: p["sample"] >= 0 and p["k"] >= 1,
     _eval_lemma7,
     {"sample": (0, 19), "k": (1, 8)},
+    stream="lemma7",
 )
 
 
@@ -538,35 +543,14 @@ _PAIRS = (
 
 
 def _pair_evaluator(pair: _Pair, direction: str) -> _Evaluator:
-    def evaluate(p: Mapping[str, int], ctx: _Context) -> _EvalResult:
+    # p already holds the drawn rationals; graded terms are reduced only
+    # when verify_case serializes them
+    def evaluate(p: Mapping[str, Any], rng: Random | None) -> _Sides:
         k = p["k"]
-        rationals: dict[str, Fraction] = {}
-        if pair.rationals:
-            rng = seeded_rng(ctx.seed, pair.label, p["sample"])
-            pinned = {"a": ctx.a, "b": ctx.b}
-            for name in pair.rationals:
-                value = pinned[name]
-                if value is None:
-                    value = random_rational(rng)
-                    while value in rationals.values():  # q_cauchy needs b != a
-                        value = random_rational(rng)
-                rationals[name] = value
-        integers = {name: p[name] for name in pair.spans if name != "k"}
-        graded = pair.terms_id in GRADED_PAIR_IDS
-        terms = graded_pair_terms if graded else pair_terms
-        e_seq, h_seq = terms(pair.terms_id, {**integers, **rationals}, k)
-        extras = {name: str(value) for name, value in rationals.items()}
+        terms = graded_pair_terms if pair.terms_id in GRADED_PAIR_IDS else pair_terms
+        e_seq, h_seq = terms(pair.terms_id, p, k)
         source, target = (e_seq, h_seq) if direction == "eh" else (h_seq, e_seq)
-        lhs = composition_transform(lambda i: source[i - 1], k)
-        rhs = target[k - 1]
-        if graded:
-            # both sides sit over phi_k: equal numerators are equal values,
-            # and one reduction serves both
-            if lhs == rhs:
-                lhs = rhs = lhs.reduced()
-            else:
-                lhs, rhs = lhs.reduced(), rhs.reduced()
-        return lhs, rhs, extras
+        return composition_transform(lambda i: source[i - 1], k), target[k - 1]
 
     return evaluate
 
@@ -580,13 +564,12 @@ for _pair in _PAIRS:
             f"{_pair.label}_{_direction}",
             f"composition transform of ({_source}) recovers ({_target})",
             _pair.ring,
-            tuple(_lower),
+            _lower,
             ("pointwise",),
-            ", ".join(f"{name} >= {lo}" for name, lo in _lower.items()),
-            lambda p, lower=_lower: all(p[name] >= lo for name, lo in lower.items()),
             _pair_evaluator(_pair, _direction),
             _pair.spans,
             rationals=_pair.rationals,
+            stream=_pair.label,
         )
 
 
@@ -647,8 +630,13 @@ def verify_case(
 ) -> CaseReport:
     """Evaluate both sides exactly for one parameter binding.
 
-    ``a`` and ``b`` pin the pair rationals they name; a transform over k
-    above the COMPIDENT_BUDGET cap raises BudgetExceededError.
+    An identity with a ``sample`` parameter gets one stream,
+    ``seeded_rng(seed, stream, sample)``.  Its pair rationals are drawn
+    from it in order, each redrawn while it equals one already bound;
+    ``a`` and ``b`` pin the ones they name instead.  The evaluator gets the
+    params with the rationals bound, and the same stream.  Equal sides are
+    serialized once, from the lhs.  A transform over k above the
+    COMPIDENT_BUDGET cap raises BudgetExceededError.
     """
     reg = _registration(identity_id)
     cleaned = _check_params(reg, params)
@@ -656,15 +644,29 @@ def verify_case(
         raise DomainError(
             f"{identity_id}: parameters {dict(cleaned)} outside domain ({reg.descriptor.domain})"
         )
-    lhs, rhs, extras = reg.evaluate(cleaned, _Context(seed=seed, a=a, b=b))
-    shown = {name: str(cleaned[name]) for name in reg.descriptor.params if name in cleaned}
-    shown.update(extras)
+    bound: dict[str, Any] = {
+        name: cleaned[name] for name in reg.descriptor.params if name in cleaned
+    }
+    rng = seeded_rng(seed, reg.stream, bound["sample"]) if "sample" in bound else None
+    pinned = {"a": a, "b": b}
+    drawn: list[Fraction] = []
+    for name in reg.rationals:
+        value = pinned[name]
+        if value is None:
+            value = random_rational(rng)
+            while value in drawn:  # q_cauchy needs b != a
+                value = random_rational(rng)
+        bound[name] = value
+        drawn.append(value)
+    lhs, rhs = reg.evaluate(bound, rng)
+    passed = lhs == rhs
+    lhs_text = _serialize_value(lhs)
     return CaseReport(
         identity_id=identity_id,
-        params=shown,
-        lhs=_serialize_value(lhs),
-        rhs=_serialize_value(rhs),
-        passed=lhs == rhs,
+        params={name: str(value) for name, value in bound.items()},
+        lhs=lhs_text,
+        rhs=lhs_text if passed else _serialize_value(rhs),
+        passed=passed,
     )
 
 

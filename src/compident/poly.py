@@ -340,6 +340,14 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     Runs a primitive-remainder Euclidean sequence on the integer numerators
     (the common denominator does not change the gcd), which keeps
     intermediate growth tame.
+
+    The cache serves RationalFunction arithmetic, which meets the same
+    denominators again and again; the verify path seldom reuses a gcd.  In
+    ``verify --all`` 6 of 96 lookups hit (one reduction per pair4/pair5
+    case), while the test suite's RationalFunction reference routes hit
+    33,424 of 38,379 times, so the cache stays.  Single runs of the test
+    suite took 19.2-24.3 s with it and 22.5-23.9 s at ``maxsize=0``
+    (2-vCPU VM, CPython 3.11.7): a difference inside run-to-run noise.
     """
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")

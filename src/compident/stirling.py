@@ -13,10 +13,7 @@ check returns its two exactly evaluated sides as the pair (lhs, rhs).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
-
-from .poly import Polynomial, poly_falling_factorial
 
 
 _rows: tuple[tuple[int, ...], ...] = ((1,),)
@@ -110,12 +107,3 @@ def check_eq41(n: int, t: int) -> tuple[int, int]:
     )
     return value, 0
 
-
-def verify_generating_poly(n: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Coefficients of x (x-1) ... (x-n+1) against the s(n, .) table row."""
-    if n < 1:
-        raise ValueError(f"verify_generating_poly: n must be >= 1, got {n}")
-    poly = poly_falling_factorial(Polynomial((0, 1)), n)
-    lhs = tuple(poly.coefficient(j) for j in range(n + 1))
-    rhs = tuple(Fraction(_s(n, j)) for j in range(n + 1))
-    return lhs, rhs

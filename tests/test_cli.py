@@ -12,6 +12,7 @@ import pytest
 
 from compident.cli import main
 from compident.identities import CaseReport, SuiteReport
+from compident.stirling import stirling1
 
 # The child `python -m compident` imports this checkout, installed or not.
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
@@ -232,6 +233,16 @@ def test_table_stirling():
     assert run_cli("table", "stirling").returncode == 2
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_table_stirling_streams_the_whole_document(n, capsys):
+    rows = [[str(stirling1(m, t)) for t in range(1, m + 1)] for m in range(1, n + 1)]
+    assert main(["table", "stirling", "--n", str(n), "--format", "json"]) == 0
+    document = {"table": "stirling", "n": n, "rows": rows}
+    assert capsys.readouterr().out == json.dumps(document, separators=(",", ":")) + "\n"
+    assert main(["table", "stirling", "--n", str(n)]) == 0
+    assert capsys.readouterr().out == "".join(" ".join(row) + "\n" for row in rows)
+
+
 def test_table_bernoulli():
     result = run_cli("table", "bernoulli", "--max", "6", "--format", "json")
     assert result.returncode == 0
@@ -330,7 +341,7 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     import compident.identities as identities
     from compident.poly import InexactDivisionError
 
-    def broken(params, ctx):
+    def broken(params, rng):
         raise InexactDivisionError("inexact polynomial division")
 
     reg = identities._REGISTRY["eq5"]
@@ -348,7 +359,7 @@ def test_internal_value_error_exits_3(monkeypatch, capsys):
 
     import compident.identities as identities
 
-    def broken(params, ctx):
+    def broken(params, rng):
         raise ValueError("evaluator fault")
 
     reg = identities._REGISTRY["eq5"]
@@ -368,7 +379,7 @@ def test_internal_fault_of_any_class_exits_3(fault, monkeypatch, capsys):
 
     import compident.identities as identities
 
-    def broken(params, ctx):
+    def broken(params, rng):
         raise fault
 
     reg = identities._REGISTRY["eq5"]

@@ -180,9 +180,9 @@ def test_verify_range_keeps_at_most_two_passing_reports(monkeypatch):
 def test_verify_range_caps_reported_failures(monkeypatch):
     seen = []
 
-    def odd_n_fails(params, ctx):
+    def odd_n_fails(params, rng):
         seen.append((params["k"], params["n"]))
-        return params["n"] % 2, 0, {}
+        return params["n"] % 2, 0
 
     reg = identities._REGISTRY["eq5"]
     monkeypatch.setitem(identities._REGISTRY, "eq5", dataclasses.replace(reg, evaluate=odd_n_fails))
@@ -240,6 +240,82 @@ PAIR_TABLE = {
               "e_k = prod_{i=1}^{k} (a-b q^(i-1))/(1-q^i)",
               "h_k = prod_{i=1}^{k} (a q^(i-1)-b)/(1-q^i)", ("a", "b")),
 }
+
+
+_OMIT_N = " (omit n for the coefficientwise polynomial check)"
+
+# params and domain of every identity that is not a pair
+DESCRIPTOR_TABLE = {
+    "eq5": (("k", "n"), "k >= 1, n >= 0"),
+    "eq6": (("k", "n"), "k >= 1, n >= 1"),
+    "eq13": (("k", "n"), "k >= 1, n >= 0" + _OMIT_N),
+    "eq17": (("k",), "k >= 1"),
+    "eq18": (("k", "t"), "1 <= t <= k"),
+    "eq19": (("k", "t"), "1 <= t <= k"),
+    "eq29": (("k", "n"), "k >= 2, n >= 0" + _OMIT_N),
+    "eq31": (("k", "t"), "1 <= t <= k"),
+    "eq36": (("x", "n", "k"), "x >= 1, n >= 1, k >= 1"),
+    "eq37": (("x", "n", "k"), "1 <= x < k, n >= 1"),
+    "eq38": (("k", "n"), "k >= 1, n >= 1"),
+    "eq41": (("n", "t"), "n >= 1, t >= 2"),
+    "eq42": (("k", "n"), "k >= 1, n >= 1"),
+    "eq47": (("k", "n"), "k >= 1, n >= 0" + _OMIT_N),
+    "lemma7_roundtrip": (("sample", "k"), "sample >= 0, k >= 1"),
+}
+
+RELATIONAL_DOMAINS = {"eq18", "eq19", "eq31", "eq37"}
+
+
+@pytest.mark.parametrize("identity_id", sorted(DESCRIPTOR_TABLE))
+def test_descriptor_params_and_domain(identity_id):
+    d = get_descriptor(identity_id)
+    assert (d.params, d.domain) == DESCRIPTOR_TABLE[identity_id]
+
+
+def lower_bounds(domain: str) -> dict[str, int]:
+    """{name: lo} read from a domain text of the form "k >= 1, n >= 0"."""
+    bounds = {}
+    for clause in domain.removesuffix(_OMIT_N).split(", "):
+        name, lo = clause.split(" >= ")
+        bounds[name] = int(lo)
+    return bounds
+
+
+@pytest.mark.parametrize(
+    "identity_id", [i for i in EXPECTED_IDS if i not in RELATIONAL_DOMAINS]
+)
+def test_derived_domain_is_what_verify_case_enforces(identity_id):
+    d = get_descriptor(identity_id)
+    lower = lower_bounds(d.domain)
+    assert tuple(lower) == d.params
+    assert verify_case(identity_id, lower).passed
+    for name in lower:
+        with pytest.raises(DomainError, match="outside domain"):
+            verify_case(identity_id, {**lower, name: lower[name] - 1})
+
+
+def test_equal_sides_are_serialized_once(monkeypatch):
+    # eq5's sides are ints, so every call counted here is a top-level one
+    calls = []
+    serialize = identities._serialize_value
+
+    def counted(value):
+        calls.append(value)
+        return serialize(value)
+
+    monkeypatch.setattr(identities, "_serialize_value", counted)
+    report = verify_case("eq5", {"k": 3, "n": 2})
+    assert report.passed and report.lhs == report.rhs == "4"
+    assert len(calls) == 1
+
+    reg = identities._REGISTRY["eq5"]
+    monkeypatch.setitem(
+        identities._REGISTRY, "eq5", dataclasses.replace(reg, evaluate=lambda p, rng: (1, 0))
+    )
+    calls.clear()
+    report = verify_case("eq5", {"k": 3, "n": 2})
+    assert not report.passed and (report.lhs, report.rhs) == ("1", "0")
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("label", sorted(PAIR_TABLE))

@@ -4,14 +4,7 @@ from math import factorial
 
 import pytest
 
-from compident.stirling import (
-    check_eq18,
-    check_eq19,
-    check_eq31,
-    check_eq41,
-    stirling1,
-    verify_generating_poly,
-)
+from compident.stirling import check_eq18, check_eq19, check_eq31, check_eq41, stirling1
 
 
 def stirling_rows_oracle(n_max: int) -> list[list[int]]:
@@ -119,13 +112,3 @@ def test_check_eq41():
     with pytest.raises(ValueError):
         check_eq41(0, 2)
 
-
-def test_verify_generating_poly():
-    lhs, rhs = verify_generating_poly(1)
-    assert lhs == rhs
-    lhs, rhs = verify_generating_poly(3)
-    assert lhs == rhs and list(lhs) == [0, 2, -3, 1]
-    lhs, rhs = verify_generating_poly(10)
-    assert lhs == rhs
-    with pytest.raises(ValueError):
-        verify_generating_poly(0)
