@@ -15,9 +15,8 @@ ZeroDivisionError inside an evaluator), reported as one line on stderr,
 and 141 when the reader closes stdout early (`compident compositions 14 |
 head -1`), with nothing on stderr.  A suite streams its cases: it keeps
 two counts and the first failures, so its memory is that of the identity's
-own tables, not of its grid (except pair4/pair5, whose cases each leave one
-poly_gcd cache entry that a later case rarely hits).  A --a or --b pin that
-an --id identity does not draw is noted on stderr and ignored.  JSON output
+own tables, not of its grid.  A --a or --b pin that an --id identity does
+not draw is noted on stderr and ignored.  JSON output
 is the stable machine surface and is byte-identical across reruns with the
 same arguments and seed; pass --timings to include wall-clock milliseconds
 in it (off by default, precisely to keep reruns byte-identical).  Exact

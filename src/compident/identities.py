@@ -721,9 +721,7 @@ def verify_range(
     order, one after another in the calling thread.  The suite streams:
     each case's report is folded into the counts as it returns, and only
     the first MAX_REPORTED_FAILURES failing reports are kept, so no passing
-    report outlives its case.  The pair4/pair5 suites still grow with the
-    grid: each case's reduction adds one entry to poly_gcd's lru_cache
-    (up to 8192), and a later case rarely hits it.
+    report outlives its case.
     """
     reg = _registration(identity_id)
     if ranges is None:

@@ -305,6 +305,39 @@ def exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
     return q
 
 
+def divide_out(p: Polynomial, factor: Polynomial, times: int) -> tuple[Polynomial, int]:
+    """(p / factor**j, j) for the largest j <= times at which the division is
+    exact: p itself when j == 0, and the zero polynomial divides ``times``
+    times.
+
+    ``factor`` must be monic with integer coefficients, as every cyclotomic
+    polynomial is, so each trial division runs on p's integer numerators
+    with no scaling and stops at the first nonzero remainder.
+    """
+    if factor._den != 1 or len(factor._num) < 2 or factor._num[-1] != 1:
+        raise ValueError(f"divide_out: factor must be monic, integral, nonconstant: {factor}")
+    if not p._num:
+        return p, times
+    *low, _ = factor._num
+    dd = len(low)
+    num = list(p._num)
+    j = 0
+    while j < times and len(num) > dd:
+        rem = list(num)
+        for shift in range(len(rem) - 1 - dd, -1, -1):
+            # rem[dd + shift] is the quotient coefficient at shift: the
+            # passes below it only touch lower indices
+            c = rem[dd + shift]
+            if c:
+                for i, y in enumerate(low, shift):
+                    rem[i] -= c * y
+        if any(rem[:dd]):
+            break
+        num = rem[dd:]
+        j += 1
+    return (_make(num, p._den) if j else p), j
+
+
 def _primitive(values: list[int]) -> list[int]:
     while values and values[-1] == 0:
         values.pop()
@@ -341,13 +374,10 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     (the common denominator does not change the gcd), which keeps
     intermediate growth tame.
 
-    The cache serves RationalFunction arithmetic, which meets the same
-    denominators again and again; the verify path seldom reuses a gcd.  In
-    ``verify --all`` 6 of 96 lookups hit (one reduction per pair4/pair5
-    case), while the test suite's RationalFunction reference routes hit
-    33,424 of 38,379 times, so the cache stays.  Single runs of the test
-    suite took 19.2-24.3 s with it and 22.5-23.9 s at ``maxsize=0``
-    (2-vCPU VM, CPython 3.11.7): a difference inside run-to-run noise.
+    No command calls it: the q-pairs reduce by cyclotomic trial division
+    (``symfun.QGraded.reduced``).  The cache serves the RationalFunction
+    reference routes of the tests, which meet the same denominators again
+    and again (30,404 of 34,969 lookups hit in one run of the test suite).
     """
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
@@ -364,13 +394,16 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(u).monic()
 
 
-def _linear_falling(p: Polynomial, k: int, over: int = 1) -> Polynomial:
-    """p (p - 1) ... (p - k + 1) / over for a degree-1 p and k >= 1.
+@lru_cache(maxsize=64)
+def _falling_row(c: int, d: int, k: int) -> tuple[int, ...]:
+    """Coefficients of prod_{i<k} (y + c - i d) in y, lowest degree first.
 
-    With p = (u x + c) / d the product is prod_i (y + c - i d) / d**k in
-    y = u x: one int-list pass per factor, then coefficient t times u**t.
+    One int-list pass per factor.  The row does not depend on the u of
+    p = (u x + c) / d, so eq13's C(i n, k) and eq17's (i n)_k, i = 1..k,
+    build the (0, 1, k) row once per case.  At most 64 rows are kept:
+    enough for eq13, eq47 and eq17 over k = 1..28 in one process to share
+    their rows.
     """
-    (c, u), d = p._num, p._den
     out = [1]
     for i in range(k):
         v = c - i * d
@@ -381,6 +414,18 @@ def _linear_falling(p: Polynomial, k: int, over: int = 1) -> Polynomial:
             below = a
         nxt.append(below)
         out = nxt
+    return tuple(out)
+
+
+def _linear_falling(p: Polynomial, k: int, over: int = 1) -> Polynomial:
+    """p (p - 1) ... (p - k + 1) / over for a degree-1 p and k >= 1.
+
+    With p = (u x + c) / d the product is prod_i (y + c - i d) / d**k in
+    y = u x: the cached row of ``_falling_row``, then coefficient t times
+    u**t.
+    """
+    (c, u), d = p._num, p._den
+    out = list(_falling_row(c, d, k))
     power = 1
     for t in range(1, len(out)):
         power *= u

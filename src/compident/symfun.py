@@ -31,8 +31,11 @@ phi_i phi_j qbinom(i+j, i) = phi_{i+j} (Andrews, The Theory of Partitions,
 ch. 3), the product of (i, N) and (j, M) is (i+j, N M qbinom(i+j, i)), and
 elements of one degree add and negate on their numerators.  Every summand
 of the transform's T(m) has degree m, so the transform runs on QGraded
-terms without a single gcd; reduced() gives the canonical RationalFunction
-once, at the end.
+terms without a single gcd.  reduced() gives the canonical RationalFunction
+once, at the end, without a gcd too: phi_m = (-1)^m prod_{d<=m}
+Phi_d^(m // d) over the cyclotomic polynomials Phi_d, which are monic and
+irreducible, so trial division of N by each Phi_d leaves it coprime to
+what is left of the denominator.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from typing import Any, Mapping, NamedTuple, Sequence
 
 from .compositions import transform_prefix
 from .exact_arith import binomial, multichoose
-from .poly import InexactDivisionError, Polynomial, RationalFunction
+from .poly import InexactDivisionError, Polynomial, RationalFunction, divide_out
 
 DEFAULT_SEED = 1729
 
@@ -170,6 +173,31 @@ def phi(k: int) -> Polynomial:
     return values[k]
 
 
+_cyclotomic_cache: tuple[Polynomial, ...] = ()  # Phi_1, Phi_2, ...
+
+
+def cyclotomic(d: int) -> Polynomial:
+    """The cyclotomic polynomial Phi_d(q), d >= 1: q^d - 1 divided exactly
+    by Phi_e for every proper divisor e of d, as q^d - 1 = prod_{e|d} Phi_e
+    (Lang, Algebra, VI §3).  Monic, with integer coefficients."""
+    global _cyclotomic_cache
+    if d < 1:
+        raise ValueError(f"cyclotomic: d must be >= 1, got {d}")
+    values = _cyclotomic_cache
+    if len(values) < d:
+        grown = list(values)
+        for n in range(len(grown) + 1, d + 1):
+            top = Polynomial([-1] + [0] * (n - 1) + [1])
+            for e in range(1, n // 2 + 1):
+                if n % e == 0:
+                    top, times = divide_out(top, grown[e - 1], 1)
+                    if not times:
+                        raise InexactDivisionError(f"cyclotomic({n}): inexact at Phi_{e}")
+            grown.append(top)
+        values = _cyclotomic_cache = tuple(grown)
+    return values[d - 1]
+
+
 @lru_cache(maxsize=1024)
 def gaussian_binomial(n: int, k: int) -> Polynomial:
     """q-binomial coefficient as an exact polynomial in q.
@@ -268,8 +296,27 @@ class QGraded(NamedTuple):
 
     def reduced(self) -> RationalFunction:
         """num / phi_degree as a canonical (coprime, monic-denominator)
-        RationalFunction; costs one gcd."""
-        return RationalFunction(self.num, phi(self.degree))
+        RationalFunction, with no gcd.
+
+        phi_m = (-1)^m prod_{d<=m} Phi_d^(m // d), and each cyclotomic Phi_d
+        is monic and irreducible over Q.  So num is divided exactly by each
+        Phi_d until a remainder appears or m // d divisions are done; what
+        is left of num is coprime to the Phi_d left in the denominator.
+        When nothing divides out, the denominator is phi_m itself.
+        """
+        m, num = self.degree, self.num
+        left: list[tuple[Polynomial, int]] = []
+        for d in range(1, m + 1):
+            factor, most = cyclotomic(d), m // d
+            num, times = divide_out(num, factor, most)
+            if times < most:
+                left.append((factor, most - times))
+        if num is self.num:  # nothing divided out
+            return RationalFunction._reduced(num, phi(m))
+        den = Polynomial((1,))
+        for factor, times in left:
+            den = den * factor ** times
+        return RationalFunction._reduced(-num if m % 2 else num, den)
 
 
 def graded_pair_terms(

@@ -1,7 +1,8 @@
 """The lock-free memo caches of symfun and stirling under concurrent callers.
 
-bernoulli, phi and stirling's shared rows rebind a module global to a new
-immutable value; gaussian_binomial is an lru_cache(maxsize=1024).  Library
+bernoulli, phi, cyclotomic and stirling's shared rows rebind a module
+global to a new immutable value; gaussian_binomial and poly's falling rows
+are lru_caches (maxsize 1024 and 64).  Library
 callers may share them across threads, so four threads fill them from empty
 at the same time, with the interpreter switching threads as often as it
 can, and each thread's values must equal a single-threaded recomputation.
@@ -12,9 +13,9 @@ import threading
 from fractions import Fraction
 
 from compident import stirling, symfun
-from compident.poly import Polynomial
+from compident.poly import Polynomial, _falling_row, poly_binomial
 from compident.stirling import stirling1
-from compident.symfun import bernoulli, gaussian_binomial, phi
+from compident.symfun import bernoulli, cyclotomic, gaussian_binomial, phi
 
 THREADS = 4
 
@@ -22,8 +23,10 @@ THREADS = 4
 def _reset_caches(monkeypatch):
     monkeypatch.setattr(symfun, "_bernoulli_cache", (Fraction(1),))
     monkeypatch.setattr(symfun, "_phi_cache", (Polynomial((1,)),))
+    monkeypatch.setattr(symfun, "_cyclotomic_cache", ())
     monkeypatch.setattr(stirling, "_rows", ((1,),))
     gaussian_binomial.cache_clear()
+    _falling_row.cache_clear()
 
 
 def _compute():
@@ -31,6 +34,10 @@ def _compute():
         [bernoulli(m) for m in range(121)],
         [phi(k) for k in range(41)],
         [gaussian_binomial(n, k) for n in range(21) for k in range(n + 1)],
+        [cyclotomic(d) for d in range(1, 41)],
+        # C(i x, k) and C(x + k - 1, k): the (0, 1, k) and (k - 1, 1, k) rows
+        [poly_binomial(Polynomial((c, i)), k)
+         for k in range(1, 31) for c in (0, k - 1) for i in (1, 2)],
         # stirling's rows grow from s(0, .) to s(100, .), one row per new n
         [stirling1(n, t) for n in range(1, 101) for t in range(1, n + 1)],
     )

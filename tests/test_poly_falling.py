@@ -1,8 +1,9 @@
 """The linear-factor route for falling factorials and binomials of a polynomial.
 
 ``poly.poly_falling_factorial`` and ``poly.poly_binomial`` expand a linear p
-by int-list passes; ``exact_arith.falling_factorial`` run on the Polynomial
-is the independent reference they are compared against.
+by int-list passes over a cached row of prod_{i<k} (y + c - i d);
+``exact_arith.falling_factorial`` run on the Polynomial is the independent
+reference they are compared against.
 """
 
 from fractions import Fraction
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from compident.exact_arith import falling_factorial
-from compident.poly import Polynomial, poly_binomial, poly_falling_factorial
+from compident.identities import verify_case
+from compident.poly import Polynomial, _falling_row, poly_binomial, poly_falling_factorial
 
 st_nonzero = st.fractions(min_value=-7, max_value=7, max_denominator=6).filter(bool)
 st_const = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-9, max_value=9, max_denominator=6))
@@ -79,3 +81,33 @@ def test_k_zero_and_negative_k():
     assert poly_falling_factorial(Polynomial((0, 3)), 0) == Polynomial((1,))
     with pytest.raises(ValueError):
         poly_falling_factorial(Polynomial((0, 1)), -1)
+
+
+def uncached_row(c, d, k):
+    product = Polynomial((1,))
+    for i in range(k):
+        product = product * Polynomial((c - i * d, 1))
+    return tuple(int(coeff) for coeff in product.coeffs)
+
+
+def test_cached_rows_match_the_uncached_pass():
+    _falling_row.cache_clear()
+    for k in range(31):
+        for d in (1, 2, 3):
+            for c in range(-k, k + 1):
+                want = uncached_row(c, d, k)
+                assert _falling_row(c, d, k) == want
+                assert _falling_row(c, d, k) == want  # the cached copy
+                p = Polynomial((Fraction(c, d), Fraction(2, d)))
+                if k <= 12 and c % 4 == 0:  # the u**t rescale and the 1/d**k on top
+                    assert poly_falling_factorial(p, k) == falling_factorial(p, k)
+    assert _falling_row.cache_info().currsize <= _falling_row.cache_info().maxsize
+
+
+def test_one_eq13_case_builds_each_row_once():
+    _falling_row.cache_clear()
+    assert verify_case("eq13", {"k": 12}).passed
+    info = _falling_row.cache_info()
+    # C(i n, 12), i = 1..12, share the (0, 1, 12) row; the rhs C(n + 11, 12)
+    # reads (11, 1, 12)
+    assert (info.misses, info.hits) == (2, 11)

@@ -156,18 +156,33 @@ def gcd_calls():
     return info.hits + info.misses
 
 
+@pytest.fixture
+def reductions(monkeypatch):
+    """Counts QGraded.reduced calls; the list holds one entry per call."""
+    calls = []
+    reduced = QGraded.reduced
+
+    def counted(self):
+        calls.append(self.degree)
+        return reduced(self)
+
+    monkeypatch.setattr(QGraded, "reduced", counted)
+    return calls
+
+
 @pytest.mark.parametrize("identity_id", ["pair4_eh", "pair5_eh", "pair5_he"])
-def test_one_case_reduces_once(identity_id):
+def test_one_case_reduces_once(identity_id, reductions):
     params = {"k": 8} if identity_id.startswith("pair4") else {"k": 8, "sample": 3}
     before = gcd_calls()
     report = verify_case(identity_id, params)
     assert report.passed
     # one reduction serves both equal sides (two if each side reduced on its
     # own); hundreds when every ring operation reduced
-    assert gcd_calls() - before == 1
+    assert len(reductions) == 1
+    assert gcd_calls() == before  # the reduction runs no Euclidean gcd
 
 
-def test_perturbed_target_fails_with_each_side_reduced(monkeypatch):
+def test_perturbed_target_fails_with_each_side_reduced(monkeypatch, reductions):
     k = 6
 
     def perturbed(pair_id, params, k):
@@ -179,7 +194,8 @@ def test_perturbed_target_fails_with_each_side_reduced(monkeypatch):
     monkeypatch.setattr(identities, "graded_pair_terms", perturbed)
     before = gcd_calls()
     report = verify_case("pair5_eh", {"k": k, "sample": 0}, a=a, b=b)
-    assert gcd_calls() - before == 2
+    assert len(reductions) == 2
+    assert gcd_calls() == before
     assert not report.passed
     e, h = graded_pair_terms("q_cauchy", {"a": a, "b": b}, k)
     assert report.lhs == serialized(h[-1].reduced())
