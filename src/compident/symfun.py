@@ -49,7 +49,7 @@ from typing import Any, Mapping, NamedTuple, Sequence
 
 from .compositions import transform_prefix
 from .exact_arith import binomial, multichoose
-from .poly import InexactDivisionError, Polynomial, RationalFunction, divide_out
+from .poly import InexactDivisionError, Polynomial, RationalFunction, divide_out, exact_div
 
 DEFAULT_SEED = 1729
 
@@ -190,9 +190,7 @@ def cyclotomic(d: int) -> Polynomial:
             top = Polynomial([-1] + [0] * (n - 1) + [1])
             for e in range(1, n // 2 + 1):
                 if n % e == 0:
-                    top, times = divide_out(top, grown[e - 1], 1)
-                    if not times:
-                        raise InexactDivisionError(f"cyclotomic({n}): inexact at Phi_{e}")
+                    top = exact_div(top, grown[e - 1])
             grown.append(top)
         values = _cyclotomic_cache = tuple(grown)
     return values[d - 1]
@@ -300,23 +298,18 @@ class QGraded(NamedTuple):
 
         phi_m = (-1)^m prod_{d<=m} Phi_d^(m // d), and each cyclotomic Phi_d
         is monic and irreducible over Q.  So num is divided exactly by each
-        Phi_d until a remainder appears or m // d divisions are done; what
-        is left of num is coprime to the Phi_d left in the denominator.
-        When nothing divides out, the denominator is phi_m itself.
+        Phi_d until a remainder appears or m // d divisions are done, and
+        phi_m by Phi_d as many times; what is left of num is coprime to
+        what is left of phi_m.
         """
-        m, num = self.degree, self.num
-        left: list[tuple[Polynomial, int]] = []
+        m = self.degree
+        num, den = self.num, phi(m)
         for d in range(1, m + 1):
-            factor, most = cyclotomic(d), m // d
-            num, times = divide_out(num, factor, most)
-            if times < most:
-                left.append((factor, most - times))
-        if num is self.num:  # nothing divided out
-            return RationalFunction._reduced(num, phi(m))
-        den = Polynomial((1,))
-        for factor, times in left:
-            den = den * factor ** times
-        return RationalFunction._reduced(-num if m % 2 else num, den)
+            factor = cyclotomic(d)
+            num, times = divide_out(num, factor, m // d)
+            for _ in range(times):
+                den = exact_div(den, factor)
+        return RationalFunction._reduced(num, den)
 
 
 def graded_pair_terms(

@@ -64,14 +64,6 @@ def test_divide_out_stops_at_the_first_remainder():
     assert divide_out(zero, phi2, 4) == (zero, 4)
 
 
-@pytest.mark.parametrize("factor", [
-    Polynomial((1,)), Polynomial((1, 2)), Polynomial((Fraction(1, 2), 1)), Polynomial(),
-], ids=["constant", "not-monic", "not-integral", "zero"])
-def test_divide_out_needs_a_monic_integral_factor(factor):
-    with pytest.raises(ValueError, match="monic"):
-        divide_out(Polynomial((1, 1)), factor, 1)
-
-
 def bindings():
     rng = seeded_rng(DEFAULT_SEED, "cyclotomic-reduction")
     for _ in range(4):

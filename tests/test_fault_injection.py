@@ -5,31 +5,68 @@ sides read the same value: a fault there changes both sides alike and the
 case still passes.  Each test below perturbs one fast path at one point and
 runs only the suites named for it.  A later change that lets both sides of
 one of these checks read the same fast path makes its test fail.
+
+A wrong cyclotomic factor Phi_d is the exception: the q-pair verdicts
+compare numerators over one phi_m and never read a Phi_d.  Only the
+serialized sides of a binding where factors cancel (b = -a) show it, and
+the build of a later Phi_n from it fails its exact division.
 """
+
+from fractions import Fraction
 
 import pytest
 
 from compident import poly, symfun
-from compident.identities import verify_range
-from compident.poly import InexactDivisionError, Polynomial
-from compident.symfun import cyclotomic
+from compident.identities import verify_case, verify_range
+from compident.poly import InexactDivisionError, Polynomial, RationalFunction
+from compident.symfun import QGraded, cyclotomic, phi
 
 PAIR_SUITES = ["pair4_eh", "pair4_he", "pair5_eh", "pair5_he"]
+# b = -a: the factors 1 + q^j of the q_cauchy terms cancel Phi_2, Phi_4 and
+# Phi_6 out of phi_m for k = 4..7, where no other Phi is built from Phi_4
+CANCELLING = {"a": Fraction(1, 2), "b": Fraction(-1, 2)}
+CANCELLING_KS = range(4, 8)
 # polynomial-mode grids (no n): every binomial there expands a falling row
 ROW_SUITES = {"eq13": {"k": (1, 6)}, "eq17": {"k": (1, 6)},
               "eq29": {"k": (2, 6)}, "eq47": {"k": (1, 6)}}
 ROW_KEY = (0, 1, 3)  # y (y - 1) (y - 2): C(i n, 3), (i n)_3 and C(n, 3) read it
 
 
+def cancelling_sides(identity_id):
+    return [
+        (report.passed, report.lhs, report.rhs)
+        for report in (verify_case(identity_id, {"k": k, "sample": 0}, **CANCELLING)
+                       for k in CANCELLING_KS)
+    ]
+
+
+def gcd_route(term):
+    return RationalFunction(term.num, phi(term.degree))
+
+
 @pytest.mark.parametrize("identity_id", PAIR_SUITES)
-def test_a_wrong_cyclotomic_factor_fails_the_q_pairs(identity_id, monkeypatch):
-    # Phi_3 + q = (1 + q)^2.  The pairs compare numerators over one phi_m,
-    # so no verdict reads a Phi_d; the reduction that serializes them does.
-    # Phi_6 is built from Phi_3, so from k = 6 on the build is inexact.
+def test_a_wrong_cyclotomic_factor_fails_the_build_self_check(identity_id, monkeypatch):
+    # Phi_3 + q = (1 + q)^2.  No verdict reads it; the build of Phi_6 from
+    # it is inexact, so the default grid (k up to 8) raises.
     wrong = cyclotomic(3) + Polynomial((0, 1))
     monkeypatch.setattr(symfun, "_cyclotomic_cache", (cyclotomic(1), cyclotomic(2), wrong))
-    with pytest.raises(InexactDivisionError, match="Phi_3"):
+    with pytest.raises(InexactDivisionError):
         verify_range(identity_id, samples=3)
+
+
+@pytest.mark.parametrize("identity_id", ["pair5_eh", "pair5_he"])
+def test_a_wrong_cyclotomic_factor_changes_the_cancelling_sides(identity_id, monkeypatch):
+    fast = cancelling_sides(identity_id)
+    with monkeypatch.context() as patch:
+        patch.setattr(QGraded, "reduced", gcd_route)
+        reference = cancelling_sides(identity_id)
+    assert fast == reference
+    # Phi_4 + 1 = q^2 + 2 divides nothing, so Phi_4 stays in both sides
+    wrong = cyclotomic(4) + 1
+    monkeypatch.setattr(symfun, "_cyclotomic_cache", (*map(cyclotomic, (1, 2, 3)), wrong))
+    faulty = cancelling_sides(identity_id)
+    assert all(passed for passed, _, _ in faulty)  # the verdicts do not see it
+    assert all(got != want for got, want in zip(faulty, reference))
 
 
 @pytest.mark.parametrize("identity_id", sorted(ROW_SUITES))
