@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .compositions import (
     BudgetExceededError,
-    Composition,
     composition_transform,
     enumerate_all_compositions,
     enumerate_compositions,
@@ -43,7 +42,6 @@ from .poly import (
     finite_difference,
     poly_binomial,
     poly_falling_factorial,
-    poly_from_json,
     poly_gcd,
     poly_to_json,
 )

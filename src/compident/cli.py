@@ -48,7 +48,7 @@ from .identities import (
     verify_range,
 )
 from .poly import poly_to_json
-from .stirling import stirling1
+from .stirling import rows as stirling_rows
 from .symfun import DEFAULT_SEED, bernoulli, gaussian_binomial
 
 EXIT_OK = 0
@@ -213,7 +213,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         if args.n is None or args.n < 1:
             raise DomainError("table stirling requires --n N with N >= 1")
         # one row at a time: the whole table is 27 MB of text at n = 400
-        rows = ([str(stirling1(m, t)) for t in range(1, m + 1)] for m in range(1, args.n + 1))
+        rows = (list(map(str, row)) for row in stirling_rows(args.n))
         if fmt == "json":
             write = sys.stdout.write
             write(f'{{"table":"stirling","n":{args.n},"rows":[')
@@ -249,8 +249,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_compositions(args: argparse.Namespace) -> int:
-    for comp in enumerate_all_compositions(args.k):
-        print(comp)
+    for parts in enumerate_all_compositions(args.k):
+        print(",".join(map(str, parts)))
     return EXIT_OK
 
 

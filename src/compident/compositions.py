@@ -1,10 +1,10 @@
 """Compositions of an integer and the signed composition transform.
 
 A composition of k with r parts is an ordered tuple of positive integers
-summing to k.  There are C(k-1, r-1) compositions with exactly r parts and
-2**(k-1) altogether, so every enumerator here streams lazily; they and the
-transform refuse k beyond a cap (20 by default; the COMPIDENT_BUDGET
-environment variable is the one way to move it).
+summing to k; the enumerators yield exactly such tuples, C(k-1, r-1) with r
+parts and 2**(k-1) altogether, so every one of them streams lazily.  They
+and the transform refuse k beyond a cap (20 by default; the
+COMPIDENT_BUDGET environment variable is the one way to move it).
 
 The central operation is the signed transform
 
@@ -27,7 +27,6 @@ their denominators.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, pairwise
 from math import lcm
@@ -65,38 +64,14 @@ def _check_budget(operation: str, k: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Composition:
-    """Ordered tuple of parts >= 1; ``total`` is their sum."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.parts or any(p < 1 for p in self.parts):
-            raise ValueError(f"composition parts must be positive integers, got {self.parts}")
-
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def part_count(self) -> int:
-        return len(self.parts)
-
-    def __str__(self) -> str:
-        return ",".join(map(str, self.parts))
-
-
-def enumerate_compositions(k: int, r: int) -> Iterator[Composition]:
+def enumerate_compositions(k: int, r: int) -> Iterator[tuple[int, ...]]:
     """Compositions of k with exactly r parts, in lexicographic part order.
 
     Yields exactly C(k-1, r-1) compositions, streaming (never materialized).
     """
-    if k < 1:
-        raise ValueError(f"enumerate_compositions: k must be >= 1, got {k}")
-    if r < 1 or r > k:
+    if not 1 <= r <= k:
         raise ValueError(f"enumerate_compositions: need 1 <= r <= k, got r={r}, k={k}")
-    return (Composition(parts) for parts in _positive_parts(k, r))
+    return _positive_parts(k, r)
 
 
 def _positive_parts(total: int, slots: int) -> Iterator[tuple[int, ...]]:
@@ -106,7 +81,7 @@ def _positive_parts(total: int, slots: int) -> Iterator[tuple[int, ...]]:
         yield tuple(b - a for a, b in pairwise((0, *cuts, total)))
 
 
-def enumerate_all_compositions(k: int) -> Iterator[Composition]:
+def enumerate_all_compositions(k: int) -> Iterator[tuple[int, ...]]:
     """All 2**(k-1) compositions of k.
 
     Grouped by part count from k parts (the all-ones composition) down to a
@@ -117,12 +92,7 @@ def enumerate_all_compositions(k: int) -> Iterator[Composition]:
     if k < 1:
         raise DomainError(f"enumerate_all_compositions: k must be >= 1, got {k}")
     _check_budget("enumerate_all_compositions", k)
-
-    def generate() -> Iterator[Composition]:
-        for r in range(k, 0, -1):
-            yield from enumerate_compositions(k, r)
-
-    return generate()
+    return (parts for r in range(k, 0, -1) for parts in _positive_parts(k, r))
 
 
 def enumerate_weak_compositions(k: int, r: int) -> Iterator[tuple[int, ...]]:

@@ -623,11 +623,3 @@ class RationalFunction:
 def poly_to_json(p: Polynomial) -> list[str]:
     """Coefficient strings, lowest degree first."""
     return [str(c) for c in p.coeffs]
-
-
-def poly_from_json(items: Iterable[str]) -> Polynomial:
-    return Polynomial(tuple(Fraction(s) for s in items))
-
-
-def ratfun_from_json(data: dict[str, list[str]]) -> RationalFunction:
-    return RationalFunction(poly_from_json(data["num"]), poly_from_json(data["den"]))

@@ -5,15 +5,16 @@ the triangle recurrence s(n, t) = s(n-1, t-1) - (n-1) s(n-1, t) with the
 conventions s(0, 0) = 1 and s(0, t) = 0 for t >= 1 (so the recurrence
 instantiates cleanly at n = 1) and s(n, t) = 0 outside 1 <= t <= n.
 
-The rows live in one grow-only module tuple that gains exactly the rows a
-caller asks for (the idiom of symfun.bernoulli and symfun.phi); stirling1
-and the checks read it directly, so the recurrence is written once.  Each
+The rows live in one grow-only module tuple (the idiom of symfun.bernoulli
+and symfun.phi) that stirling1 and the checks read; rows() streams the
+table holding one row.  Both grow rows by _steps, the one recurrence.  Each
 check returns its two exactly evaluated sides as the pair (lhs, rhs).
 """
 
 from __future__ import annotations
 
 from math import comb
+from typing import Iterator
 
 
 _rows: tuple[tuple[int, ...], ...] = ((1,),)
@@ -27,15 +28,23 @@ def _grown(n: int) -> tuple[tuple[int, ...], ...]:
     or built and never reads the global again.
     """
     global _rows
-    rows = _rows
-    if len(rows) <= n:
-        grown = list(rows)
-        for m in range(len(grown), n + 1):
-            prev = grown[m - 1]
-            # s(m, t) = s(m-1, t-1) - (m-1) s(m-1, t), with s(m-1, m) = 0
-            grown.append(tuple(a - (m - 1) * b for a, b in zip((0, *prev), (*prev, 0))))
-        rows = _rows = tuple(grown)
-    return rows
+    cached = _rows
+    if len(cached) <= n:
+        cached = _rows = cached + tuple(_steps(cached[-1], len(cached), n + 1))
+    return cached
+
+
+def _steps(row: tuple[int, ...], start: int, stop: int) -> Iterator[tuple[int, ...]]:
+    """s(m, 0..m) for m = start .. stop - 1, each from the one before; row is s(start - 1, .)."""
+    for m in range(start, stop):
+        # s(m, t) = s(m-1, t-1) - (m-1) s(m-1, t), with s(m-1, m) = 0
+        row = tuple(a - (m - 1) * b for a, b in zip((0, *row), (*row, 0)))
+        yield row
+
+
+def rows(n: int) -> Iterator[tuple[int, ...]]:
+    """s(m, 1..m) for m = 1..n, holding one row at a time; the shared rows stay as they are."""
+    return (row[1:] for row in _steps((1,), 1, n + 1))
 
 
 def _s(n: int, t: int) -> int:

@@ -40,7 +40,7 @@ def reference_sums(values, k):
         total = None
         for comp in enumerate_compositions(k, r):
             product = None
-            for part in comp.parts:
+            for part in comp:
                 term = values[part - 1]
                 product = term if product is None else product * term
             total = product if total is None else total + product

@@ -2,9 +2,10 @@
 
 The golden digests catch a change in output, but not a check whose two
 sides read the same value: a fault there changes both sides alike and the
-case still passes.  Each test below perturbs one fast path at one point and
-runs only the suites named for it.  A later change that lets both sides of
-one of these checks read the same fast path makes its test fail.
+case still passes.  Each test below perturbs one fast path or shared
+primitive at one point and runs only the suites named for it.  A later
+change that lets both sides of one of these checks read the same fast path
+makes its test fail.
 
 A wrong cyclotomic factor Phi_d is the exception: the q-pair verdicts
 compare numerators over one phi_m and never read a Phi_d.  Only the
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from compident import poly, symfun
+from compident import poly, stirling, symfun
 from compident.identities import verify_case, verify_range
 from compident.poly import InexactDivisionError, Polynomial, RationalFunction
 from compident.symfun import QGraded, cyclotomic, phi
@@ -30,6 +31,10 @@ CANCELLING_KS = range(4, 8)
 ROW_SUITES = {"eq13": {"k": (1, 6)}, "eq17": {"k": (1, 6)},
               "eq29": {"k": (2, 6)}, "eq47": {"k": (1, 6)}}
 ROW_KEY = (0, 1, 3)  # y (y - 1) (y - 2): C(i n, 3), (i n)_3 and C(n, 3) read it
+# suite -> whether it still passes.  eq41's s(n, t) multiplies a sum that is
+# 0 for t >= 2, so no wrong s(n, t) can fail it.
+STIRLING_SUITES = {"eq17": False, "eq18": False, "eq19": False, "eq31": False, "eq41": True}
+BERNOULLI_SUITES = {"pair2_eh": False, "pair2_he": False, "pair1_eh": True}
 
 
 def cancelling_sides(identity_id):
@@ -85,3 +90,16 @@ def test_a_wrong_falling_row_fails_polynomial_mode(identity_id, monkeypatch):
         pointwise = verify_range(identity_id, {"k": (2, 6), "n": (0, 4)})
         assert pointwise.cases_failed == 0
 
+
+@pytest.mark.parametrize("identity_id, passes", sorted(STIRLING_SUITES.items()))
+def test_a_wrong_stirling_number_fails_its_suites(identity_id, passes, monkeypatch):
+    s = stirling._s
+    monkeypatch.setattr(stirling, "_s", lambda n, t: s(n, t) + ((n, t) == (6, 3)))
+    assert verify_range(identity_id).passed is passes
+
+
+@pytest.mark.parametrize("identity_id, passes", sorted(BERNOULLI_SUITES.items()))
+def test_a_wrong_bernoulli_number_fails_its_suites(identity_id, passes, monkeypatch):
+    b = symfun.bernoulli
+    monkeypatch.setattr(symfun, "bernoulli", lambda m: b(m) + (m == 4))
+    assert verify_range(identity_id).passed is passes

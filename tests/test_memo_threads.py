@@ -2,7 +2,7 @@
 
 bernoulli, phi, cyclotomic and stirling's shared rows rebind a module
 global to a new immutable value; gaussian_binomial and poly's falling rows
-are lru_caches (maxsize 1024 and 64).  Library
+are lru_caches (maxsize 1024 and 8).  Library
 callers may share them across threads, so four threads fill them from empty
 at the same time, with the interpreter switching threads as often as it
 can, and each thread's values must equal a single-threaded recomputation.

@@ -15,10 +15,8 @@ from compident.poly import (
     finite_difference,
     poly_binomial,
     poly_falling_factorial,
-    poly_from_json,
     poly_gcd,
     poly_to_json,
-    ratfun_from_json,
 )
 from compident.stirling import stirling1
 
@@ -323,8 +321,9 @@ def test_ratfun_mixed_operands():
 def test_serialization_roundtrip():
     p = Polynomial((Fraction(1, 2), 0, -3))
     assert poly_to_json(p) == ["1/2", "0", "-3"]
-    assert poly_from_json(poly_to_json(p)) == p
+    assert Polynomial(map(Fraction, poly_to_json(p))) == p
     r = RationalFunction(Polynomial((1, 1)), Polynomial((2, 0, 2)))
     data = r.to_json()
     assert set(data) == {"num", "den"}
-    assert ratfun_from_json(data) == r
+    num, den = (Polynomial(map(Fraction, data[side])) for side in ("num", "den"))
+    assert RationalFunction(num, den) == r

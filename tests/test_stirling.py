@@ -1,9 +1,12 @@
 """Tests for the signed Stirling triangle and the identity checks on it."""
 
+import json
 from math import factorial
 
 import pytest
 
+from compident import stirling
+from compident.cli import main
 from compident.stirling import check_eq18, check_eq19, check_eq31, check_eq41, stirling1
 
 
@@ -37,6 +40,21 @@ def test_recurrence_matches_expansion_oracle(n):
     oracle = stirling_rows_oracle(15)
     for t in range(0, n + 1):
         assert stirling1(n, t) == oracle[n][t]
+
+
+def test_rows_match_expansion_oracle():
+    oracle = stirling_rows_oracle(40)
+    assert [list(row) for row in stirling.rows(40)] == [row[1:] for row in oracle[1:]]
+    assert list(stirling.rows(0)) == []
+
+
+def test_table_keeps_one_row_and_leaves_the_memo(monkeypatch, capsys):
+    monkeypatch.setattr(stirling, "_rows", ((1,),))
+    assert main(["table", "stirling", "--n", "200", "--format", "json"]) == 0
+    assert len(stirling._rows) == 1  # the table grew no shared row
+    document = json.loads(capsys.readouterr().out)
+    oracle = stirling_rows_oracle(200)
+    assert document["rows"] == [[str(s) for s in row[1:]] for row in oracle[1:]]
 
 
 def test_first_column_closed_form():
