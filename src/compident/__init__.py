@@ -30,7 +30,6 @@ from .identities import (
     get_descriptor,
     list_identities,
     rothe_hagen_A,
-    rothe_hagen_A_sum,
     verify_case,
     verify_polynomial_in_n,
     verify_range,

@@ -125,8 +125,8 @@ def _ranges_for(identity_id: str, overrides: dict[str, tuple[int, int]], samples
     )
     if template is None:
         # e.g. eq29's only default grid is polynomial mode; --n selects its pointwise mode
-        if not set(overrides) <= set(get_descriptor(identity_id).params):
-            names = ", ".join(sorted(overrides))
+        names = ", ".join(sorted(set(overrides) - set(get_descriptor(identity_id).params)))
+        if names:
             raise DomainError(f"{identity_id}: range flag(s) {names} do not apply to this identity")
         template = defaults[0]
     merged = dict(template)

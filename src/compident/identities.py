@@ -8,11 +8,13 @@ ordered dict of each parameter's lower bound (which gives its params, domain
 text and domain predicate, unless the domain relates two parameters), its
 modes, default verification grids, and a pure evaluator
 ``(params, rng) -> (lhs, rhs)`` that produces both sides exactly.
-The pair entries come from one table, ``_PAIRS``, with a row per (e, h)
-pair: its pair_terms id, ring, e_k and h_k statements, the rationals (a, b)
-it draws per sample, and its integer parameters' spans.  Both directions
-are registered from the row, and the CLI asks ``pair_rationals`` which
-bindings an explicit --a/--b pins.
+eq5, eq42 and the pair entries evaluate through one function,
+``_pair_evaluator(terms_id, direction)``: eq5 and eq42 are the two
+directions of symfun's binomial pair.  The pair entries come from one
+table, ``_PAIRS``, with a row per (e, h) pair: its pair_terms id, ring,
+e_k and h_k statements, the rationals (a, b) it draws per sample, and its
+integer parameters' spans.  Both directions are registered from the row,
+and the CLI asks ``pair_rationals`` which bindings an explicit --a/--b pins.
 
 ``verify_case`` is the one path from a binding to a verdict.  For an
 identity with a ``sample`` parameter it opens one stream,
@@ -31,6 +33,8 @@ run in polynomial mode whenever no n parameter is supplied) and eq17 (always
 a coefficient comparison).  Each of these formulas is written once: ``n`` is
 the bound integer, or else the polynomial x, and the ring of ``n`` picks the
 mode (``_binom`` is ``binomial`` on ints and ``poly_binomial`` otherwise).
+All four sum over one alternating weight, ``_alternating(f, k)`` =
+sum_{i=1}^{k} (-1)^i C(k+1, i+1) f(i).
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from random import Random
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .compositions import composition_transform, transform_by_enumeration
-from .exact_arith import DomainError, binomial, multichoose
+from .exact_arith import DomainError, binomial
 from .poly import (
     Polynomial,
     RationalFunction,
@@ -231,30 +235,25 @@ def _binom(x: int | Polynomial, k: int) -> int | Polynomial:
     return binomial(x, k) if isinstance(x, int) else poly_binomial(x, k)
 
 
-def _eval_eq5(p: Mapping[str, Any], rng: Random | None) -> _Sides:
-    k, n = p["k"], p["n"]
-    lhs = composition_transform(lambda i: binomial(n, i), k)
-    return lhs, binomial(n + k - 1, k)
-
-
 def _eval_eq6(p: Mapping[str, Any], rng: Random | None) -> _Sides:
     k, n = p["k"], p["n"]
     lhs = sum(binomial(j + k - 2, k - 1) for j in range(1, n + 1))
     return lhs, binomial(n + k - 1, k)
 
 
+def _alternating(f: Callable[[int], Any], k: int) -> Any:
+    # sum_{i=1}^{k} (-1)^i C(k+1, i+1) f(i): the sum of eq13, eq17, eq29 and eq47
+    return sum(f(i) * ((-1) ** i * comb(k + 1, i + 1)) for i in range(1, k + 1))
+
+
 def _eval_eq13(p: Mapping[str, Any], rng: Random | None) -> _Sides:
     k, n = p["k"], p.get("n", _N)
-    lhs = sum(_binom(n * i, k) * ((-1) ** i * comb(k + 1, i + 1)) for i in range(1, k + 1))
-    return lhs, (-1) ** k * _binom(n + k - 1, k)
+    return _alternating(lambda i: _binom(n * i, k), k), (-1) ** k * _binom(n + k - 1, k)
 
 
 def _eval_eq17(p: Mapping[str, Any], rng: Random | None) -> _Sides:
     k = p["k"]
-    lhs_poly = sum(
-        poly_falling_factorial(_N * i, k) * ((-1) ** i * comb(k + 1, i + 1))
-        for i in range(1, k + 1)
-    )
+    lhs_poly = _alternating(lambda i: poly_falling_factorial(_N * i, k), k)
     lhs = tuple(lhs_poly.coefficient(t) for t in range(k + 1))
     rhs = tuple(
         Fraction(0) if t == 0 else Fraction((-1) ** t * stirling1(k, t))
@@ -273,12 +272,9 @@ def _eval_eq19(p: Mapping[str, Any], rng: Random | None) -> _Sides:
 
 def _eval_eq29(p: Mapping[str, Any], rng: Random | None) -> _Sides:
     k, n = p["k"], p.get("n", _N)
-    lhs = sum(
-        (_binom((n - 1) * i, k) - _binom(n * i, k)) * ((-1) ** i * comb(k + 1, i + 1))
-        for i in range(1, k + 1)
-    )
-    rhs = sum(_binom(n * i, k - 1) * ((-1) ** i * comb(k, i + 1)) for i in range(1, k))
-    return lhs, rhs
+    lhs = _alternating(lambda i: _binom((n - 1) * i, k) - _binom(n * i, k), k)
+    # C(k, i+1) over i < k is the same sum at k - 1
+    return lhs, _alternating(lambda i: _binom(n * i, k - 1), k - 1)
 
 
 def _eval_eq31(p: Mapping[str, Any], rng: Random | None) -> _Sides:
@@ -323,18 +319,9 @@ def _eval_eq41(p: Mapping[str, Any], rng: Random | None) -> _Sides:
     return check_eq41(p["n"], p["t"])
 
 
-def _eval_eq42(p: Mapping[str, Any], rng: Random | None) -> _Sides:
-    k, n = p["k"], p["n"]
-    lhs = composition_transform(lambda i: multichoose(n, i), k)
-    return lhs, binomial(n, k)
-
-
 def _eval_eq47(p: Mapping[str, Any], rng: Random | None) -> _Sides:
     k, n = p["k"], p.get("n", _N)
-    lhs = sum(
-        _binom(n * i + k - 1, k) * ((-1) ** i * comb(k + 1, i + 1)) for i in range(1, k + 1)
-    )
-    return lhs, (-1) ** k * _binom(n, k)
+    return _alternating(lambda i: _binom(n * i + k - 1, k), k), (-1) ** k * _binom(n, k)
 
 
 def _eval_lemma7(p: Mapping[str, Any], rng: Random | None) -> _Sides:
@@ -350,8 +337,25 @@ def _eval_lemma7(p: Mapping[str, Any], rng: Random | None) -> _Sides:
     return lhs, rhs
 
 
+def _pair_evaluator(terms_id: str, direction: str) -> _Evaluator:
+    # "eh" transforms e_1..e_k against h_k, "he" the reverse.  p holds the drawn
+    # rationals; graded terms are reduced only when verify_case serializes them.
+    # Both term builders are read from the module globals at each call.
+    def evaluate(p: Mapping[str, Any], rng: Random | None) -> _Sides:
+        k = p["k"]
+        terms = graded_pair_terms if terms_id in GRADED_PAIR_IDS else pair_terms
+        e_seq, h_seq = terms(terms_id, p, k)
+        source, target = (e_seq, h_seq) if direction == "eh" else (h_seq, e_seq)
+        return composition_transform(lambda i: source[i - 1], k), target[k - 1]
+
+    return evaluate
+
+
 # ---------------------------------------------------------------------------
 # Registry entries, in the documented order.
+
+# the relational domain of eq18, eq19 and eq31
+_T_UP_TO_K: dict[str, Any] = {"domain": "1 <= t <= k", "valid": lambda p: 1 <= p["t"] <= p["k"]}
 
 _register(
     "eq5",
@@ -359,7 +363,7 @@ _register(
     "integer",
     {"k": 1, "n": 0},
     ("pointwise",),
-    _eval_eq5,
+    _pair_evaluator("binomial", "eh"),
     {"k": (1, 10), "n": (0, 10)},
 )
 
@@ -401,8 +405,7 @@ _register(
     ("pointwise",),
     _eval_eq18,
     {"k": (1, 25), "t": (1, 25)},
-    domain="1 <= t <= k",
-    valid=lambda p: 1 <= p["t"] <= p["k"],
+    **_T_UP_TO_K,
 )
 
 _register(
@@ -413,8 +416,7 @@ _register(
     ("pointwise",),
     _eval_eq19,
     {"k": (1, 25), "t": (1, 25)},
-    domain="1 <= t <= k",
-    valid=lambda p: 1 <= p["t"] <= p["k"],
+    **_T_UP_TO_K,
 )
 
 _register(
@@ -435,8 +437,7 @@ _register(
     ("pointwise",),
     _eval_eq31,
     {"k": (1, 12), "t": (1, 12)},
-    domain="1 <= t <= k",
-    valid=lambda p: 1 <= p["t"] <= p["k"],
+    **_T_UP_TO_K,
 )
 
 _register(
@@ -487,7 +488,7 @@ _register(
     "integer",
     {"k": 1, "n": 1},
     ("pointwise",),
-    _eval_eq42,
+    _pair_evaluator("binomial", "he"),
     {"k": (1, 10), "n": (1, 10)},
 )
 
@@ -542,19 +543,6 @@ _PAIRS = (
 )
 
 
-def _pair_evaluator(pair: _Pair, direction: str) -> _Evaluator:
-    # p already holds the drawn rationals; graded terms are reduced only
-    # when verify_case serializes them
-    def evaluate(p: Mapping[str, Any], rng: Random | None) -> _Sides:
-        k = p["k"]
-        terms = graded_pair_terms if pair.terms_id in GRADED_PAIR_IDS else pair_terms
-        e_seq, h_seq = terms(pair.terms_id, p, k)
-        source, target = (e_seq, h_seq) if direction == "eh" else (h_seq, e_seq)
-        return composition_transform(lambda i: source[i - 1], k), target[k - 1]
-
-    return evaluate
-
-
 for _pair in _PAIRS:
     _lower = {name: lo for name, (lo, _) in _pair.spans.items()}
     if _pair.rationals:
@@ -566,7 +554,7 @@ for _pair in _PAIRS:
             _pair.ring,
             _lower,
             ("pointwise",),
-            _pair_evaluator(_pair, _direction),
+            _pair_evaluator(_pair.terms_id, _direction),
             _pair.spans,
             rationals=_pair.rationals,
             stream=_pair.label,
@@ -770,22 +758,3 @@ def rothe_hagen_A(x: int, n: int, k: int) -> Fraction:
     if x + k * n == 0:
         raise ZeroDivisionError(f"rothe_hagen_A undefined: x + k*n = 0 (x={x}, n={n}, k={k})")
     return Fraction(x, x + k * n) * binomial(x + k * n, k)
-
-
-def rothe_hagen_A_sum(x: int, n: int, k: int) -> Fraction:
-    """Alternating-sum form of the same coefficient:
-    sum_{i=0}^{k-1} (-1)^(i+k+1) C(k,i) C(x+i*n,k) x/(x+i*n), for k >= 1.
-
-    Note the published sum form starts at i = 0 while the rearranged
-    identity eq36 starts at i = 1; this function keeps the i = 0 start so
-    the two conventions can be cross-checked explicitly.
-    """
-    if k < 1:
-        raise ValueError(f"rothe_hagen_A_sum: k must be >= 1, got {k}")
-    total = Fraction(0)
-    for i in range(k):
-        d = x + i * n
-        if d == 0:
-            raise ZeroDivisionError(f"rothe_hagen_A_sum: x + i*n = 0 at i={i}")
-        total += (-1) ** (i + k + 1) * comb(k, i) * binomial(d, k) * Fraction(x, d)
-    return total

@@ -20,9 +20,9 @@ The catalog binds six closed-form (e, h) sequence pairs:
 
 with q always symbolic and B_k the Bernoulli numbers in the B_1 = -1/2
 convention (the bernoulli pair forces it: e_1 must equal h_1 = a/2).
-pair_terms only builds the term lists; which pairs the identity catalog
-verifies, and their rings, statements and sampled bindings, live in
-identities' pair table.
+pair_terms only builds the term lists; identities verifies all six, the
+binomial pair as eq5 and eq42 and the others from its pair table, which
+holds their rings, statements and sampled bindings.
 
 The two q-pairs have every term of degree m over phi_m(q) = (1-q)...(1-q^m),
 and q_exp is q_cauchy at (a, b) = (0, -1).  graded_pair_terms gives them as

@@ -64,6 +64,10 @@ def test_verify_span_flag_outside_params_exits_2():
     result = run_cli("verify", "--id", "eq17", "--n", "0..3")
     assert result.returncode == 2
     assert "do not apply" in result.stderr
+    # only the flag that does not apply is named: eq5 takes k
+    result = run_cli("verify", "--id", "eq5", "--k", "1..3", "--t", "1..2")
+    assert result.returncode == 2
+    assert "flag(s) t do not apply" in result.stderr
 
 
 def test_verify_timings_flag():

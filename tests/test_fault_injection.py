@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from compident import poly, stirling, symfun
+from compident import identities, poly, stirling, symfun
 from compident.identities import verify_case, verify_range
 from compident.poly import InexactDivisionError, Polynomial, RationalFunction
 from compident.symfun import QGraded, cyclotomic, phi
@@ -35,6 +35,52 @@ ROW_KEY = (0, 1, 3)  # y (y - 1) (y - 2): C(i n, 3), (i n)_3 and C(n, 3) read it
 # 0 for t >= 2, so no wrong s(n, t) can fail it.
 STIRLING_SUITES = {"eq17": False, "eq18": False, "eq19": False, "eq31": False, "eq41": True}
 BERNOULLI_SUITES = {"pair2_eh": False, "pair2_he": False, "pair1_eh": True}
+X = Polynomial((0, 1))  # q in the q-binomials, x in the polynomial-mode binomials
+BOTH_WAYS = [f"pair{j}_{way}" for j in range(1, 6) for way in ("eh", "he")]
+
+
+def bumped(hit, delta):
+    # the perturbation that adds delta to a function's value wherever hit(*args)
+    def perturb(function):
+        def perturbed(*args):
+            value = function(*args)
+            return value + delta if hit(*args) else value
+
+        return perturbed
+
+    return perturb
+
+
+def wrong_transform(transform):
+    # + 1 on the transform at k = 4, in the ring of its value
+    def perturbed(terms, k):
+        value = transform(terms, k)
+        if k != 4:
+            return value
+        return QGraded(4, value.num + 1) if isinstance(value, QGraded) else value + 1
+
+    return perturbed
+
+
+# (namespace the callers read the name from, name, perturbation, {suite:
+# whether it still passes}).  eq5 and eq42 read their terms through
+# symfun.pair_terms, so identities.binomial does not reach them.
+SHARED_PRIMITIVES = [
+    (identities, "binomial", bumped(lambda m, k: (m, k) == (5, 2), 1), {
+        **dict.fromkeys(["eq6", "eq13", "eq36", "eq37", "eq38", "eq47"], False),
+        "eq5": True, "eq42": True,
+    }),
+    (symfun, "binomial", bumped(lambda m, k: (m, k) == (5, 2), 1),
+     {"eq5": False, "eq42": False}),
+    (symfun, "multichoose", bumped(lambda n, k: (n, k) == (4, 3), 1),
+     {"eq5": False, "eq42": False}),
+    (symfun, "gaussian_binomial", bumped(lambda n, k: (n, k) == (5, 2), X),
+     dict.fromkeys(BOTH_WAYS[4:], False)),  # pair3, pair4, pair5
+    (identities, "poly_binomial", bumped(lambda p, k: k == 3, X),
+     {"eq13": False, "eq29": False, "eq47": False, "eq17": True}),
+    (identities, "composition_transform", wrong_transform,
+     dict.fromkeys(["eq5", "eq42", "lemma7_roundtrip", *BOTH_WAYS], False)),
+]
 
 
 def cancelling_sides(identity_id):
@@ -102,4 +148,20 @@ def test_a_wrong_stirling_number_fails_its_suites(identity_id, passes, monkeypat
 def test_a_wrong_bernoulli_number_fails_its_suites(identity_id, passes, monkeypatch):
     b = symfun.bernoulli
     monkeypatch.setattr(symfun, "bernoulli", lambda m: b(m) + (m == 4))
+    assert verify_range(identity_id).passed is passes
+
+
+@pytest.mark.parametrize(
+    "owner, name, perturb, identity_id, passes",
+    [
+        pytest.param(owner, name, perturb, identity_id, passes,
+                     id=f"{owner.__name__.split('.')[-1]}.{name}-{identity_id}")
+        for owner, name, perturb, suites in SHARED_PRIMITIVES
+        for identity_id, passes in suites.items()
+    ],
+)
+def test_a_wrong_shared_primitive_fails_its_suites(
+    owner, name, perturb, identity_id, passes, monkeypatch
+):
+    monkeypatch.setattr(owner, name, perturb(getattr(owner, name)))
     assert verify_range(identity_id).passed is passes

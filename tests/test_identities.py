@@ -25,7 +25,6 @@ from compident.identities import (
     list_identities,
     pair_rationals,
     rothe_hagen_A,
-    rothe_hagen_A_sum,
     verify_case,
     verify_polynomial_in_n,
     verify_range,
@@ -427,14 +426,6 @@ def test_rothe_hagen_coefficient():
         rothe_hagen_A(0, 5, 0)
     with pytest.raises(ZeroDivisionError):
         rothe_hagen_A(-6, 2, 3)
-
-
-def test_rothe_hagen_sum_form_matches_product_form():
-    # the i = 0 start of the alternating-sum form against the closed form
-    for x in range(1, 7):
-        for n in range(1, 7):
-            for k in range(1, 9):
-                assert rothe_hagen_A_sum(x, n, k) == rothe_hagen_A(x, n, k), (x, n, k)
 
 
 def test_equivalence_chain_of_closed_forms():
