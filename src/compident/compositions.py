@@ -15,6 +15,10 @@ value of degree k, and back again when fed the complete-type sequence.  It
 is generic over the ring of the terms: anything supporting +, unary -, and *
 works (ints, Fractions, polynomials, rational functions).  As (-1)**(k-r) =
 prod_i (-1)**(k_i-1), T is the O(k**2) e -> h convolution (transform_prefix).
+On Fraction terms it runs graded, in ints: with den(term(i)) | s**i,
+b_i = term(i) s**i and U(m) = s**m T(m) follow T's recurrence with no gcd.
+Past k * bits(s) = 4096 those ints outgrow the reduced Fractions, so it
+stays on Fractions there.
 Two independent routes check it: symfun's Toeplitz determinant, and the
 literal enumeration (transform_by_enumeration).  The enumeration is one
 depth-first walk over all 2**(k-1) compositions that forms each prefix
@@ -29,13 +33,16 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from itertools import combinations, pairwise
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from typing import Any, Callable, Iterator, Sequence
 
 from .exact_arith import DomainError, binomial
 
 DEFAULT_ENUMERATION_BUDGET = 20
 BUDGET_ENV_VAR = "COMPIDENT_BUDGET"
+# graded Fraction transforms cost more than Fraction ones past this k * bits(s)
+_GRADED_BITS = 4096
 
 
 class BudgetExceededError(RuntimeError):
@@ -56,7 +63,8 @@ def enumeration_budget() -> int:
     return value
 
 
-def _check_budget(operation: str, k: int) -> None:
+def check_budget(operation: str, k: int) -> None:
+    """Raise BudgetExceededError, naming operation, when k is over the cap."""
     cap = enumeration_budget()
     if k > cap:
         raise BudgetExceededError(
@@ -91,7 +99,7 @@ def enumerate_all_compositions(k: int) -> Iterator[tuple[int, ...]]:
     """
     if k < 1:
         raise DomainError(f"enumerate_all_compositions: k must be >= 1, got {k}")
-    _check_budget("enumerate_all_compositions", k)
+    check_budget("enumerate_all_compositions", k)
     return (parts for r in range(k, 0, -1) for parts in _positive_parts(k, r))
 
 
@@ -110,7 +118,11 @@ def enumerate_weak_compositions(k: int, r: int) -> Iterator[tuple[int, ...]]:
 
 def transform_prefix(values: Sequence[Any]) -> list[Any]:
     """T(1)..T(k) by T(m) = sum_{i=1}^{m} (-1)**(i-1) term(i) T(m-i), T(0) = 1;
-    the i = m summand is term(m) itself, so every T(m) stays in the terms' ring."""
+    the i = m summand is term(m) itself, so every T(m) stays in the terms' ring.
+    Fraction terms run graded (``_graded_prefix``) when their scale is small."""
+    scale = _graded_scale(values)
+    if scale is not None:
+        return _graded_prefix(values, scale)
     ts: list[Any] = []
     for m in range(1, len(values) + 1):
         total: Any = None
@@ -119,6 +131,32 @@ def transform_prefix(values: Sequence[Any]) -> list[Any]:
             signed = product if i % 2 else -product
             total = signed if total is None else total + signed
         ts.append(total)
+    return ts
+
+
+def _graded_scale(values: Sequence[Any]) -> int | None:
+    """s with den(v_i) | s**i for every i, built greedily, when every value
+    is a Fraction and k * bits(s) <= _GRADED_BITS; None otherwise."""
+    if any(type(v) is not Fraction for v in values):
+        return None
+    scale = 1
+    for i, v in enumerate(values, 1):
+        scale *= v.denominator // gcd(v.denominator, scale**i)
+        if len(values) * scale.bit_length() > _GRADED_BITS:
+            return None
+    return scale
+
+
+def _graded_prefix(values: Sequence[Fraction], scale: int) -> list[Fraction]:
+    # b_i = v_i s**i and U(m) = s**m T(m) are ints, and T's recurrence times
+    # s**m is U(m) = sum (-1)**(i-1) b_i U(m-i): no product needs a gcd
+    signed, us, ts, power = [], [1], [], 1
+    for i, v in enumerate(values, 1):
+        power *= scale
+        b = v.numerator * (power // v.denominator)
+        signed.append(b if i % 2 else -b)
+        us.append(sum(map(mul, signed, reversed(us))))
+        ts.append(Fraction(us[-1], power))
     return ts
 
 
@@ -132,7 +170,7 @@ def composition_transform(terms: Callable[[int], Any], k: int) -> Any:
     """
     if k < 1:
         raise ValueError(f"composition_transform: k must be >= 1, got {k}")
-    _check_budget("composition_transform", k)
+    check_budget("composition_transform", k)
     return transform_prefix([terms(i) for i in range(1, k + 1)])[-1]
 
 
@@ -145,7 +183,7 @@ def inner_sum_positive(terms: Callable[[int], Any], k: int, r: int) -> Any:
     """
     if r < 1 or r > k:
         raise ValueError(f"inner_sum_positive: need 1 <= r <= k, got r={r}, k={k}")
-    _check_budget("inner_sum_positive", k)
+    check_budget("inner_sum_positive", k)
     values, scale = _integer_scaled([terms(i) for i in range(1, k - r + 2)])
     total = _exact_walk(values, k, r)
     return total if scale is None else Fraction(total, scale**r)
@@ -161,7 +199,7 @@ def transform_by_enumeration(terms: Callable[[int], Any], k: int) -> Any:
     """
     if k < 1:
         raise ValueError(f"transform_by_enumeration: k must be >= 1, got {k}")
-    _check_budget("transform_by_enumeration", k)
+    check_budget("transform_by_enumeration", k)
     total: Any = None
     for r, s in enumerate(part_count_sums([terms(i) for i in range(1, k + 1)], k), 1):
         signed = s if (k - r) % 2 == 0 else -s

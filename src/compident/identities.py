@@ -48,7 +48,7 @@ from math import comb
 from random import Random
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
-from .compositions import composition_transform, transform_by_enumeration
+from .compositions import check_budget, composition_transform, transform_by_enumeration
 from .exact_arith import DomainError, binomial
 from .poly import (
     Polynomial,
@@ -326,6 +326,7 @@ def _eval_eq47(p: Mapping[str, Any], rng: Random | None) -> _Sides:
 
 def _eval_lemma7(p: Mapping[str, Any], rng: Random | None) -> _Sides:
     k = p["k"]
+    check_budget("transform_by_enumeration", k)  # before the O(k**3) determinant
     e_seq = [random_rational(rng) for _ in range(k)]
     h_seq = h_from_e_conv(e_seq)
     det_h = h_from_e_det(e_seq)
@@ -340,9 +341,11 @@ def _eval_lemma7(p: Mapping[str, Any], rng: Random | None) -> _Sides:
 def _pair_evaluator(terms_id: str, direction: str) -> _Evaluator:
     # "eh" transforms e_1..e_k against h_k, "he" the reverse.  p holds the drawn
     # rationals; graded terms are reduced only when verify_case serializes them.
-    # Both term builders are read from the module globals at each call.
+    # Both term builders are read from the module globals at each call, and
+    # neither runs on a k over the cap.
     def evaluate(p: Mapping[str, Any], rng: Random | None) -> _Sides:
         k = p["k"]
+        check_budget("composition_transform", k)
         terms = graded_pair_terms if terms_id in GRADED_PAIR_IDS else pair_terms
         e_seq, h_seq = terms(terms_id, p, k)
         source, target = (e_seq, h_seq) if direction == "eh" else (h_seq, e_seq)

@@ -1,12 +1,15 @@
 """Elementary <-> complete symmetric-function conversion and pair catalog.
 
-Three independent routes turn a prefix e_1..e_k into h_k, and each is its
-own inverse: fed h_1..h_k, it gives e_k.  They are the Toeplitz determinant
-with unit subdiagonal (h_from_e_det), the convolution
-h_m = sum_{i=1}^{m} (-1)**(i-1) e_i h_{m-i} (h_from_e_conv, the recurrence
-that also computes the composition transform), and the enumeration of all
-2**(k-1) compositions (compositions.transform_by_enumeration).  They share no
-code, so each can validate the others.  q-binomials are built on int
+Three routes turn a prefix e_1..e_k into h_k, and each is its own inverse:
+fed h_1..h_k, it gives e_k.  They are the convolution
+h_m = sum_{i=1}^{m} (-1)**(i-1) e_i h_{m-i} (h_from_e_conv, which is
+compositions.transform_prefix, the composition transform itself), the
+Toeplitz determinant with unit subdiagonal (h_from_e_det), and the
+enumeration of all 2**(k-1) compositions
+(compositions.transform_by_enumeration).  The determinant and the
+enumeration share no code with the convolution or with each other, so they
+are its independent checks; the determinant eliminates in plain Fractions,
+apart from the convolution's graded integers.  q-binomials are built on int
 coefficient lists by one linear pass per factor (gaussian_binomial).
 
 The catalog binds six closed-form (e, h) sequence pairs:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from compident import identities, poly, stirling, symfun
+from compident import compositions, identities, poly, stirling, symfun
 from compident.identities import verify_case, verify_range
 from compident.poly import InexactDivisionError, Polynomial, RationalFunction
 from compident.symfun import QGraded, cyclotomic, phi
@@ -62,6 +62,15 @@ def wrong_transform(transform):
     return perturbed
 
 
+def wrong_graded_numerator(graded):
+    # b_3 + 1 in transform_prefix's graded path: v_3 gains 1 / s**3
+    def perturbed(values, scale):
+        values = [v + Fraction(i == 3, scale**i) for i, v in enumerate(values, 1)]
+        return graded(values, scale)
+
+    return perturbed
+
+
 # (namespace the callers read the name from, name, perturbation, {suite:
 # whether it still passes}).  eq5 and eq42 read their terms through
 # symfun.pair_terms, so identities.binomial does not reach them.
@@ -80,6 +89,11 @@ SHARED_PRIMITIVES = [
      {"eq13": False, "eq29": False, "eq47": False, "eq17": True}),
     (identities, "composition_transform", wrong_transform,
      dict.fromkeys(["eq5", "eq42", "lemma7_roundtrip", *BOTH_WAYS], False)),
+    # only Fraction terms run graded: pair1 and pair2, and lemma7's convolution
+    (compositions, "_graded_prefix", wrong_graded_numerator, {
+        **dict.fromkeys(["lemma7_roundtrip", *BOTH_WAYS[:4]], False),
+        **dict.fromkeys(["eq5", "eq42", *BOTH_WAYS[4:]], True),
+    }),
 ]
 
 

@@ -117,6 +117,25 @@ def test_budget_error_propagates(monkeypatch):
     assert verify_case("eq5", {"k": 21, "n": 1}).passed
 
 
+TRANSFORM_IDS = ["eq5", "eq42", "lemma7_roundtrip", *EXPECTED_IDS[15:]]
+
+
+@pytest.mark.parametrize("identity_id", TRANSFORM_IDS)
+def test_over_cap_request_is_refused_before_any_term_is_built(identity_id, monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"{identity_id} built terms for a k over the cap")
+
+    for name in ("pair_terms", "graded_pair_terms", "h_from_e_conv", "h_from_e_det"):
+        monkeypatch.setattr(identities, name, refuse)
+    params = {"k": 21, "n": 1, "sample": 0}
+    names = get_descriptor(identity_id).params
+    operation = "composition_transform"
+    if identity_id == "lemma7_roundtrip":
+        operation = "transform_by_enumeration"
+    with pytest.raises(BudgetExceededError, match=f"^{operation}: k=21 is over the cap"):
+        verify_case(identity_id, {name: params[name] for name in names})
+
+
 def test_verify_range_counts():
     report = verify_range("eq5", {"k": (1, 8), "n": (0, 8)})
     assert report.cases_total == 72 and report.cases_failed == 0
