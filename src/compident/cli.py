@@ -18,8 +18,9 @@ two counts and the first failures, so its memory is that of the identity's
 own tables, not of its grid.  A --a or --b pin that an --id identity does
 not draw is noted on stderr and ignored.  JSON output
 is the stable machine surface and is byte-identical across reruns with the
-same arguments and seed; pass --timings to include wall-clock milliseconds
-in it (off by default, precisely to keep reruns byte-identical).  Exact
+same arguments and seed; pass --timings to include each suite's wall-clock
+time in it, as elapsed_ms and elapsed_us (off by default, precisely to keep
+reruns byte-identical).  Exact
 values and span bounds may have any number of digits: main lifts CPython's
 int <-> str digit limit while it runs.  The COMPIDENT_BUDGET environment
 variable lifts the k <= 20 enumeration cap.
@@ -84,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="accepted for compatibility; cases run in order in one thread")
     verify.add_argument("--format", choices=("json", "text"), default="text")
     verify.add_argument("--timings", action="store_true",
-                        help="include wall-clock elapsed_ms in JSON output (breaks byte-identical reruns)")
+                        help="include wall-clock elapsed_ms and elapsed_us in JSON output "
+                             "(breaks byte-identical reruns)")
 
     lister = sub.add_parser("list", help="print the identity catalog")
     lister.add_argument("--format", choices=("json", "text"), default="text")

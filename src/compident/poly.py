@@ -12,11 +12,13 @@ also speak Fractions.  Rational functions keep gcd(num, den) == 1 with a
 monic denominator, so equality is structural for them too.
 
 ``poly_falling_factorial`` and ``poly_binomial`` expand a linear p, the
-only kind the identity catalog passes, by one int-list pass per factor p - i
-and one normalisation at the end; any other p goes through the generic
+only kind the identity catalog passes, from a row of k + 1 ints (built by
+one int-list pass per factor p - i, or slid from a kept neighbour row) and
+one normalisation at the end; any other p goes through the generic
 ``exact_arith.falling_factorial`` loop of Polynomial products.
 ``poly_falling_factorial`` is the one expansion of x (x - 1) ... (x - k + 1)
-at p = x, ``Polynomial((0, 1))``.
+at p = x, ``Polynomial((0, 1))``.  ``weighted_sum`` normalises a whole sum
+once.
 """
 
 from __future__ import annotations
@@ -293,6 +295,24 @@ class Polynomial:
 _ONE = Polynomial((1,))
 
 
+def weighted_sum(weights: Iterable[int], polys: Iterable[Polynomial]) -> Polynomial:
+    """sum(w * p) over the pairs: the int rows are added over the lcm of the
+    denominators and normalised once, not once per ``+`` and ``*``."""
+    pairs = list(zip(weights, polys))
+    den = lcm(*(p._den for _, p in pairs))
+    out: list[int] = []
+    for w, p in pairs:
+        if not w:
+            continue
+        scale = w * (den // p._den)
+        num = p._num
+        if len(out) < len(num):
+            out.extend([0] * (len(num) - len(out)))
+        for t, c in enumerate(num):
+            out[t] += c * scale
+    return _make(out, den)
+
+
 class InexactDivisionError(ValueError):
     """An exact division met a remainder: a fault in compident, not in user input."""
 
@@ -377,18 +397,45 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(u).monic()
 
 
-@lru_cache(maxsize=8)
+# The falling rows of the last 8 (c, d, k) keys used, least recent first.
+# The dict is never mutated: a call that changes it fills a private copy and
+# rebinds the global, so a caller on another thread sees either the old dict
+# or the new one, both correct.
+_falling_rows: dict[tuple[int, int, int], tuple[int, ...]] = {}
+_ROWS_KEPT = 8
+
+
 def _falling_row(c: int, d: int, k: int) -> tuple[int, ...]:
     """Coefficients of prod_{i<k} (y + c - i d) in y, lowest degree first.
 
-    One int-list pass per factor.  The row does not depend on the u of
-    p = (u x + c) / d, so within one case eq13's C(i n, k) and eq17's
-    (i n)_k build the (0, 1, k) row once for all slopes i = 1..k (one eq13
-    case at k = 12: 2 misses, 11 hits).  That reuse is all the cache is
-    for: over eq13, eq47, eq17 and eq29 at k up to 28, 2 rows give 1,865
-    hits and 64 rows 1,983.  Kept rows cost memory: 1 to 16 rows raised
-    that run's peak RSS by ~0.12 MB and 64 rows by 0.25 MB, so 8 are kept.
+    The row does not depend on the u of p = (u x + c) / d, so eq13's
+    C(i n, k) and eq17's (i n)_k read one (0, 1, k) row for i = 1..k.  A row
+    whose (c + d, d, k) neighbour is kept is slid from it, as eq29's
+    C(i (n - 1), k) rows are; any other is built.  Over eq13, eq47, eq17 and
+    eq29 at k up to 28, the 2,462 reads are 1,868 hits, 379 slides and 215
+    builds.  1 to 16 kept rows raised that run's peak RSS by ~0.12 MB and 64
+    rows by 0.25 MB, so 8 are kept.
     """
+    global _falling_rows
+    rows = _falling_rows
+    key = (c, d, k)
+    row = rows.get(key)
+    if row is None:
+        above = rows.get((c + d, d, k)) if k else None
+        row = _built_row(c, d, k) if above is None else _slid_row(above, c, d, k)
+    elif next(reversed(rows)) == key:
+        return row
+    rows = dict(rows)
+    rows.pop(key, None)
+    rows[key] = row  # now the most recent
+    if len(rows) > _ROWS_KEPT:
+        del rows[next(iter(rows))]
+    _falling_rows = rows
+    return row
+
+
+def _built_row(c: int, d: int, k: int) -> tuple[int, ...]:
+    # one int-list pass per factor y + c - i d
     out = [1]
     for i in range(k):
         v = c - i * d
@@ -399,6 +446,24 @@ def _falling_row(c: int, d: int, k: int) -> tuple[int, ...]:
             below = a
         nxt.append(below)
         out = nxt
+    return tuple(out)
+
+
+def _slid_row(above: tuple[int, ...], c: int, d: int, k: int) -> tuple[int, ...]:
+    """The (c, d, k) row, k >= 1, as row(c + d) (y + b) / (y + a) with
+    a = c + d and b = c - (k - 1) d: synthetic division from the top,
+    q_{t-1} = p_t - a q_t, fused with the product, b q_t + q_{t-1}.  A
+    remainder p_0 - a q_0 raises InexactDivisionError."""
+    a, b = c + d, c - (k - 1) * d
+    out = [0] * (k + 1)
+    q = 0
+    for t in range(k, 0, -1):
+        below = above[t] - a * q
+        out[t] = b * q + below
+        q = below
+    if above[0] != a * q:
+        raise InexactDivisionError(f"inexact slide from the ({a}, {d}, {k}) row")
+    out[0] = b * q
     return tuple(out)
 
 

@@ -78,6 +78,23 @@ def test_verify_timings_flag():
     assert isinstance(payload["elapsed_ms"], int)
 
 
+def test_verify_timings_in_microseconds(monkeypatch, capsys):
+    # a suite of ~1 ms reads 0 or 1 in elapsed_ms; elapsed_us resolves it
+    import compident.identities as identities
+
+    clock = iter(range(10_000_000, 10**12, 734_567))  # 734,567 ns from start to end
+    monkeypatch.setattr(identities.time, "perf_counter_ns", lambda: next(clock))
+    argv = ["verify", "--id", "eq13", "--k", "1..2", "--n", "0..1", "--format", "json"]
+    assert main(argv + ["--timings"]) == 0
+    timed = json.loads(capsys.readouterr().out)
+    assert (timed["elapsed_ms"], timed["elapsed_us"]) == (0, 734)
+    assert type(timed["elapsed_us"]) is int
+    assert main(argv) == 0
+    default = json.loads(capsys.readouterr().out)
+    del timed["elapsed_us"]
+    assert default == {**timed, "elapsed_ms": 0}
+
+
 def test_verify_text_format():
     result = run_cli("verify", "--id", "eq6", "--k", "1..4", "--n", "1..4")
     assert result.returncode == 0

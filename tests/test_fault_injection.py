@@ -31,6 +31,7 @@ CANCELLING_KS = range(4, 8)
 ROW_SUITES = {"eq13": {"k": (1, 6)}, "eq17": {"k": (1, 6)},
               "eq29": {"k": (2, 6)}, "eq47": {"k": (1, 6)}}
 ROW_KEY = (0, 1, 3)  # y (y - 1) (y - 2): C(i n, 3), (i n)_3 and C(n, 3) read it
+SLID_KEY = (-2, 1, 5)  # eq29's C(2 (n - 1), 5), slid from C(n - 1, 5)'s row
 # suite -> whether it still passes.  eq41's s(n, t) multiplies a sum that is
 # 0 for t >= 2, so no wrong s(n, t) can fail it.
 STIRLING_SUITES = {"eq17": False, "eq18": False, "eq19": False, "eq31": False, "eq41": True}
@@ -134,21 +135,61 @@ def test_a_wrong_cyclotomic_factor_changes_the_cancelling_sides(identity_id, mon
     assert all(got != want for got, want in zip(faulty, reference))
 
 
-@pytest.mark.parametrize("identity_id", sorted(ROW_SUITES))
-def test_a_wrong_falling_row_fails_polynomial_mode(identity_id, monkeypatch):
-    row = poly._falling_row
-
+def wrong_row(row):
+    # + y on the (0, 1, 3) row, wherever _linear_falling reads it
     def perturbed(c, d, k):
         out = row(c, d, k)
         return (out[0], out[1] + 1, *out[2:]) if (c, d, k) == ROW_KEY else out
 
-    monkeypatch.setattr(poly, "_falling_row", perturbed)
+    return perturbed
+
+
+def wrong_weight(weighted_sum):
+    # + 1 on the weight of the i = 2 term, C(k+1, 3), of every alternating sum
+    def perturbed(weights, polys):
+        return weighted_sum([w + (i == 2) for i, w in enumerate(weights, 1)], polys)
+
+    return perturbed
+
+
+def wrong_slid_row(slid):
+    # twice the slid (-2, 1, 5) row.  The rows slid after it divide it by
+    # y - 2, y - 3, ...; a wrong row that lost one of those factors would
+    # make the next slide raise InexactDivisionError instead of failing a case
+    def perturbed(above, c, d, k):
+        out = slid(above, c, d, k)
+        return tuple(2 * v for v in out) if (c, d, k) == SLID_KEY else out
+
+    return perturbed
+
+
+# (namespace, name, perturbation): the polynomial-mode fast paths
+POLYNOMIAL_MODE_FAULTS = {
+    "falling_row": (poly, "_falling_row", wrong_row),
+    "weighted_sum": (identities, "weighted_sum", wrong_weight),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(POLYNOMIAL_MODE_FAULTS))
+@pytest.mark.parametrize("identity_id", sorted(ROW_SUITES))
+def test_a_wrong_polynomial_mode_path_fails_polynomial_mode(identity_id, fault, monkeypatch):
+    owner, name, perturb = POLYNOMIAL_MODE_FAULTS[fault]
+    monkeypatch.setattr(owner, name, perturb(getattr(owner, name)))
     report = verify_range(identity_id, ROW_SUITES[identity_id])
     assert report.cases_failed >= 1
     assert all("n" not in failure.params for failure in report.first_failures)
-    if identity_id != "eq17":  # pointwise mode binomials are ints: no row
+    if identity_id != "eq17":  # pointwise mode binomials are ints: no row, no weighted_sum
         pointwise = verify_range(identity_id, {"k": (2, 6), "n": (0, 4)})
         assert pointwise.cases_failed == 0
+
+
+@pytest.mark.parametrize("identity_id", sorted(ROW_SUITES))
+def test_a_wrong_slid_row_fails_only_eq29(identity_id, monkeypatch):
+    # only eq29's C(i (n - 1), k) rows, c = -i, have a kept (c + 1) neighbour
+    # at k = 5; an empty cache makes (-2, 1, 5) a slide, not a hit
+    monkeypatch.setattr(poly, "_falling_rows", {})
+    monkeypatch.setattr(poly, "_slid_row", wrong_slid_row(poly._slid_row))
+    assert verify_range(identity_id, ROW_SUITES[identity_id]).passed is (identity_id != "eq29")
 
 
 @pytest.mark.parametrize("identity_id, passes", sorted(STIRLING_SUITES.items()))

@@ -3,7 +3,9 @@
 Each workload's argvs run through ``cli.main`` at the recorded seed, with the
 benchmark's common arguments, and every case's digest of (id, params, lhs,
 rhs) and the sha256 of the whole stdout must match the record; this is the
-check perfbench/one_pass.py makes after each timed pass.
+check perfbench/one_pass.py makes after each timed pass.  The record stops at
+k = 28 in polynomial mode, so the stdout digests of the four polynomial-mode
+suites up to k = 60 are pinned here as well.
 """
 
 import hashlib
@@ -53,3 +55,21 @@ def test_workload_matches_golden_record(name, monkeypatch, capsys):
     assert exit_codes == [0] * len(exit_codes)
     assert [case_digest(r) for r in reports] == recorded["cases"]
     assert hashlib.sha256(stdout.encode()).hexdigest() == recorded["stdout_sha256"]
+
+
+# sha256 of the --format json stdout, recorded before polynomial mode summed
+# with one normalisation per sum and slid eq29's rows from their neighbours
+POLYNOMIAL_MODE_K60 = {
+    ("eq13", "1..60"): "9715f53505bd0b2e94033e4eadef6551e95179f389f51cfc7c22316b13543666",
+    ("eq47", "1..60"): "73ea25cf550c018e00492b5bb842a557c9a1eed326d255590c9f0c74c375e996",
+    ("eq17", "1..60"): "6c5c2a47f64ab385b4f236036ff5d270334a5fc1471c49b0422b6b55ea78ee84",
+    ("eq29", "2..60"): "eb9900b481a5edd2e6dc5ecf6a7ee2f0da55c4a5d4613e5d006bc555a88097d7",
+}
+
+
+@pytest.mark.parametrize("identity_id, span", sorted(POLYNOMIAL_MODE_K60))
+def test_polynomial_mode_up_to_k60_matches_its_digest(identity_id, span, capsys):
+    assert main(["verify", "--id", identity_id, "--k", span, "--format", "json"]) == 0
+    stdout = capsys.readouterr().out
+    want = POLYNOMIAL_MODE_K60[identity_id, span]
+    assert hashlib.sha256(stdout.encode()).hexdigest() == want

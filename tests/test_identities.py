@@ -524,9 +524,10 @@ def test_report_json_schemas():
     assert payload["pass"] is True
     suite = verify_range("eq5", {"k": (1, 3), "n": (0, 3)})
     payload = suite.to_json()
-    assert set(payload) == {"id", "cases", "failed", "failures", "elapsed_ms"}
+    assert set(payload) == {"id", "cases", "failed", "failures", "elapsed_ms", "elapsed_us"}
     assert payload["failures"] == []
     frozen = suite.to_json(include_timings=False)
+    assert set(frozen) == {"id", "cases", "failed", "failures", "elapsed_ms"}
     assert frozen["elapsed_ms"] == 0
 
 

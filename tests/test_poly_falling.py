@@ -1,9 +1,13 @@
-"""The linear-factor route for falling factorials and binomials of a polynomial.
+"""The linear-factor route for falling factorials and binomials of a polynomial,
+and the one-normalisation weighted sum of polynomial mode.
 
 ``poly.poly_falling_factorial`` and ``poly.poly_binomial`` expand a linear p
-by int-list passes over a cached row of prod_{i<k} (y + c - i d);
-``exact_arith.falling_factorial`` run on the Polynomial is the independent
-reference they are compared against.
+by int-list passes over a cached row of prod_{i<k} (y + c - i d), or slide
+the row from its cached (c + d, d, k) neighbour;
+``exact_arith.falling_factorial`` run on the Polynomial, and a product of
+linear Polynomials for the rows, are the independent references they are
+compared against.  ``poly.weighted_sum`` is compared with the left-to-right
+``sum(w * p)``.
 """
 
 from fractions import Fraction
@@ -12,9 +16,17 @@ from math import factorial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from compident import poly
 from compident.exact_arith import falling_factorial
 from compident.identities import verify_case
-from compident.poly import Polynomial, _falling_row, poly_binomial, poly_falling_factorial
+from compident.poly import (
+    InexactDivisionError,
+    Polynomial,
+    _falling_row,
+    poly_binomial,
+    poly_falling_factorial,
+    weighted_sum,
+)
 
 st_nonzero = st.fractions(min_value=-7, max_value=7, max_denominator=6).filter(bool)
 st_const = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-9, max_value=9, max_denominator=6))
@@ -90,8 +102,27 @@ def uncached_row(c, d, k):
     return tuple(int(coeff) for coeff in product.coeffs)
 
 
-def test_cached_rows_match_the_uncached_pass():
-    _falling_row.cache_clear()
+@pytest.fixture
+def rows(monkeypatch):
+    """An empty row cache, and the (c, d, k) keys built and slid from then on."""
+    monkeypatch.setattr(poly, "_falling_rows", {})
+    calls = {"built": [], "slid": []}
+    built, slid = poly._built_row, poly._slid_row
+
+    def counted_build(c, d, k):
+        calls["built"].append((c, d, k))
+        return built(c, d, k)
+
+    def counted_slide(above, c, d, k):
+        calls["slid"].append((c, d, k))
+        return slid(above, c, d, k)
+
+    monkeypatch.setattr(poly, "_built_row", counted_build)
+    monkeypatch.setattr(poly, "_slid_row", counted_slide)
+    return calls
+
+
+def test_cached_rows_match_the_uncached_pass(rows):
     for k in range(31):
         for d in (1, 2, 3):
             for c in range(-k, k + 1):
@@ -101,13 +132,99 @@ def test_cached_rows_match_the_uncached_pass():
                 p = Polynomial((Fraction(c, d), Fraction(2, d)))
                 if k <= 12 and c % 4 == 0:  # the u**t rescale and the 1/d**k on top
                     assert poly_falling_factorial(p, k) == falling_factorial(p, k)
-    assert _falling_row.cache_info().currsize <= _falling_row.cache_info().maxsize
+                assert len(poly._falling_rows) <= poly._ROWS_KEPT
+    assert rows["slid"] == []  # c rises, so no row's (c + d) neighbour is kept
 
 
-def test_one_eq13_case_builds_each_row_once():
-    _falling_row.cache_clear()
+def chain(d, k):
+    # c = 0, -d, ..., -k d: at d = 1, eq29's (0, 1, k) row of C(i n, k) and
+    # its C(i (n - 1), k) rows; each key is its predecessor's (c - d) neighbour
+    return [(-i * d, d, k) for i in range(k + 1)]
+
+
+ORDERS = {
+    "eq29": lambda keys: keys,
+    "reverse": lambda keys: keys[::-1],
+    # each chain key between two others: (c, d, k + 1) and a (c + 5, d, k) row
+    "interleaved": lambda keys: [
+        key
+        for c, d, k in keys
+        for key in ((c, d, k + 1), (c, d, k), (c + 5, d, k))
+    ],
+}
+
+
+@pytest.mark.parametrize("order", sorted(ORDERS))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_slid_rows_match_the_uncached_pass(order, d, rows):
+    for k in (1, 2, 5, 12):
+        keys = ORDERS[order](chain(d, k))
+        for key in keys:
+            assert _falling_row(*key) == uncached_row(*key)
+        if order != "reverse":  # in reverse, c rises and nothing slides
+            assert set(keys) & set(chain(d, k)[1:]) <= set(rows["slid"])
+    assert all(k >= 1 for _, _, k in rows["slid"])
+
+
+def test_the_empty_row_never_slides(rows):
+    # prod over no factors: (1,) at every c, with no factor y + c + d to divide out
+    assert _falling_row(1, 1, 0) == _falling_row(0, 1, 0) == (1,)
+    assert rows == {"built": [(1, 1, 0), (0, 1, 0)], "slid": []}
+
+
+@pytest.mark.parametrize("k", [1, 4, 9])
+def test_a_corrupted_neighbour_raises(k, monkeypatch):
+    above = list(uncached_row(1, 2, k))
+    above[0] += 1  # no longer divisible by y + 1
+    monkeypatch.setattr(poly, "_falling_rows", {(1, 2, k): tuple(above)})
+    with pytest.raises(InexactDivisionError):
+        _falling_row(-1, 2, k)
+
+
+def test_one_eq13_case_builds_each_row_once(rows, monkeypatch):
+    reads = []
+    row = poly._falling_row
+
+    def counted(c, d, k):
+        reads.append((c, d, k))
+        return row(c, d, k)
+
+    monkeypatch.setattr(poly, "_falling_row", counted)
     assert verify_case("eq13", {"k": 12}).passed
-    info = _falling_row.cache_info()
     # C(i n, 12), i = 1..12, share the (0, 1, 12) row; the rhs C(n + 11, 12)
-    # reads (11, 1, 12)
-    assert (info.misses, info.hits) == (2, 11)
+    # reads (11, 1, 12): 13 reads, 2 rows built, none slid
+    assert len(reads) == 13
+    assert rows == {"built": [(0, 1, 12), (11, 1, 12)], "slid": []}
+
+
+def test_one_eq29_case_slides_its_shifted_rows(rows):
+    assert verify_case("eq29", {"k": 12}).passed
+    # i = 1 builds (-1, 1, 12) and (0, 1, 12); i = 2..12 slide (-i, 1, 12)
+    # from (-i + 1, 1, 12); the rhs C(i n, 11) builds (0, 1, 11)
+    assert rows["built"] == [(-1, 1, 12), (0, 1, 12), (0, 1, 11)]
+    assert rows["slid"] == [(-i, 1, 12) for i in range(2, 13)]
+
+
+st_poly = st.lists(
+    st.fractions(min_value=-20, max_value=20, max_denominator=12), max_size=6
+).map(Polynomial)
+
+
+@given(st.lists(st.tuples(st.integers(-50, 50), st_poly), max_size=8))
+@settings(max_examples=150, deadline=None)
+@example([])
+@example([(0, Polynomial((Fraction(1, 3), 2)))])  # a zero weight only
+@example([(3, Polynomial((Fraction(1, 2),))), (0, Polynomial((Fraction(5, 7), 1)))])
+@example([(2, Polynomial((Fraction(1, 6), Fraction(3, 4)))),
+          (-1, Polynomial((Fraction(1, 3), Fraction(3, 2))))])  # cancels to zero
+@example([(1, Polynomial((Fraction(1, 2), Fraction(1, 3), 1))),
+          (-1, Polynomial((0, 0, 1)))])  # cancels the top degree
+def test_weighted_sum_matches_the_left_to_right_sum(pairs):
+    weights = [w for w, _ in pairs]
+    polys = [p for _, p in pairs]
+    want = Polynomial()
+    for w, p in pairs:
+        want = want + w * p
+    got = weighted_sum(weights, polys)
+    assert isinstance(got, Polynomial)
+    assert got == want  # structural: the same normal form
