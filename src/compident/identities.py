@@ -32,10 +32,9 @@ coefficientwise as polynomial identities in n for eq13, eq29, eq47 (those
 run in polynomial mode whenever no n parameter is supplied) and eq17 (always
 a coefficient comparison).  Each of these formulas is written once: ``n`` is
 the bound integer, or else the polynomial x, and the ring of ``n`` picks the
-mode (``_binom`` is ``binomial`` on ints and ``poly_binomial`` otherwise).
-All four sum over one alternating weight, ``_alternating(f, k)`` =
-sum_{i=1}^{k} (-1)^i C(k+1, i+1) f(i); in polynomial mode
-``poly.weighted_sum`` adds the k terms with one normalisation.
+mode.  All four sum over the weights (-1)^i C(k+1, i+1) of ``_alternating``,
+as raw terms (w, u, c) for w C(u n + c, k): ``binomial`` on ints, or one
+``poly.falling_sum`` with one normalisation in polynomial mode.
 """
 
 from __future__ import annotations
@@ -45,20 +44,13 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as cartesian_product
-from math import comb
+from math import comb, factorial
 from random import Random
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .compositions import check_budget, composition_transform, transform_by_enumeration
 from .exact_arith import DomainError, binomial
-from .poly import (
-    Polynomial,
-    RationalFunction,
-    poly_binomial,
-    poly_falling_factorial,
-    poly_to_json,
-    weighted_sum,
-)
+from .poly import Polynomial, RationalFunction, falling_sum, poly_binomial, poly_to_json
 from .stirling import check_eq18, check_eq19, check_eq31, check_eq41, stirling1
 from .symfun import (
     DEFAULT_SEED,
@@ -249,23 +241,31 @@ def _eval_eq6(p: Mapping[str, Any], rng: Random | None) -> _Sides:
     return lhs, binomial(n + k - 1, k)
 
 
-def _alternating(f: Callable[[int], Any], k: int) -> Any:
-    # sum_{i=1}^{k} (-1)^i C(k+1, i+1) f(i): the sum of eq13, eq17, eq29 and eq47
-    weights = [(-1) ** i * comb(k + 1, i + 1) for i in range(1, k + 1)]
-    terms = [f(i) for i in range(1, k + 1)]
-    if terms and isinstance(terms[0], Polynomial):
-        return weighted_sum(weights, terms)
-    return sum(w * term for w, term in zip(weights, terms))
+_Term = tuple[int, int, int]  # (w, u, c): w C(u n + c, k), or w (u n + c)_k in eq17
+
+
+def _alternating(k: int) -> list[tuple[int, int]]:
+    # (i, (-1)^i C(k+1, i+1)) for i = 1..k: the weights of eq13, eq17, eq29 and eq47
+    return [(i, (-1) ** i * comb(k + 1, i + 1)) for i in range(1, k + 1)]
+
+
+def _binomial_sum(terms: list[_Term], n: int | Polynomial, k: int) -> int | Polynomial:
+    # pointwise on ints at a bound n; in polynomial mode one falling_sum over k!,
+    # read from this module's globals at each call like poly_binomial in _binom
+    if isinstance(n, int):
+        return sum(w * binomial(u * n + c, k) for w, u, c in terms)
+    return falling_sum(terms, k, factorial(k))
 
 
 def _eval_eq13(p: Mapping[str, Any], rng: Random | None) -> _Sides:
     k, n = p["k"], p.get("n", _N)
-    return _alternating(lambda i: _binom(n * i, k), k), (-1) ** k * _binom(n + k - 1, k)
+    lhs = _binomial_sum([(w, i, 0) for i, w in _alternating(k)], n, k)
+    return lhs, (-1) ** k * _binom(n + k - 1, k)
 
 
 def _eval_eq17(p: Mapping[str, Any], rng: Random | None) -> _Sides:
     k = p["k"]
-    lhs_poly = _alternating(lambda i: poly_falling_factorial(_N * i, k), k)
+    lhs_poly = falling_sum([(w, i, 0) for i, w in _alternating(k)], k, 1)
     lhs = tuple(lhs_poly.coefficient(t) for t in range(k + 1))
     rhs = tuple(
         Fraction(0) if t == 0 else Fraction((-1) ** t * stirling1(k, t))
@@ -284,9 +284,10 @@ def _eval_eq19(p: Mapping[str, Any], rng: Random | None) -> _Sides:
 
 def _eval_eq29(p: Mapping[str, Any], rng: Random | None) -> _Sides:
     k, n = p["k"], p.get("n", _N)
-    lhs = _alternating(lambda i: _binom((n - 1) * i, k) - _binom(n * i, k), k)
+    # each difference C((n-1) i, k) - C(n i, k) is two terms, weighted +w and -w
+    lhs = _binomial_sum([t for i, w in _alternating(k) for t in ((w, i, -i), (-w, i, 0))], n, k)
     # C(k, i+1) over i < k is the same sum at k - 1
-    return lhs, _alternating(lambda i: _binom(n * i, k - 1), k - 1)
+    return lhs, _binomial_sum([(w, i, 0) for i, w in _alternating(k - 1)], n, k - 1)
 
 
 def _eval_eq31(p: Mapping[str, Any], rng: Random | None) -> _Sides:
@@ -333,7 +334,8 @@ def _eval_eq41(p: Mapping[str, Any], rng: Random | None) -> _Sides:
 
 def _eval_eq47(p: Mapping[str, Any], rng: Random | None) -> _Sides:
     k, n = p["k"], p.get("n", _N)
-    return _alternating(lambda i: _binom(n * i + k - 1, k), k), (-1) ** k * _binom(n, k)
+    lhs = _binomial_sum([(w, i, k - 1) for i, w in _alternating(k)], n, k)
+    return lhs, (-1) ** k * _binom(n, k)
 
 
 def _eval_lemma7(p: Mapping[str, Any], rng: Random | None) -> _Sides:

@@ -11,14 +11,12 @@ with remainder run on Python ints.  ``coeffs`` is the read-only
 also speak Fractions.  Rational functions keep gcd(num, den) == 1 with a
 monic denominator, so equality is structural for them too.
 
-``poly_falling_factorial`` and ``poly_binomial`` expand a linear p, the
-only kind the identity catalog passes, from a row of k + 1 ints (built by
-one int-list pass per factor p - i, or slid from a kept neighbour row) and
-one normalisation at the end; any other p goes through the generic
-``exact_arith.falling_factorial`` loop of Polynomial products.
-``poly_falling_factorial`` is the one expansion of x (x - 1) ... (x - k + 1)
-at p = x, ``Polynomial((0, 1))``.  ``weighted_sum`` normalises a whole sum
-once.
+``poly_falling_factorial`` and ``poly_binomial`` expand a linear p from a
+row of k + 1 ints (built by one int-list pass per factor p - i, or slid
+from a kept neighbour row) and one normalisation at the end; any other p
+goes through the generic ``exact_arith.falling_factorial`` loop of
+Polynomial products.  ``falling_sum`` adds the rows of many raw terms
+w (u x + c)_k scaled into one int row and normalises the sum once.
 """
 
 from __future__ import annotations
@@ -295,24 +293,6 @@ class Polynomial:
 _ONE = Polynomial((1,))
 
 
-def weighted_sum(weights: Iterable[int], polys: Iterable[Polynomial]) -> Polynomial:
-    """sum(w * p) over the pairs: the int rows are added over the lcm of the
-    denominators and normalised once, not once per ``+`` and ``*``."""
-    pairs = list(zip(weights, polys))
-    den = lcm(*(p._den for _, p in pairs))
-    out: list[int] = []
-    for w, p in pairs:
-        if not w:
-            continue
-        scale = w * (den // p._den)
-        num = p._num
-        if len(out) < len(num):
-            out.extend([0] * (len(num) - len(out)))
-        for t, c in enumerate(num):
-            out[t] += c * scale
-    return _make(out, den)
-
-
 class InexactDivisionError(ValueError):
     """An exact division met a remainder: a fault in compident, not in user input."""
 
@@ -513,6 +493,21 @@ def poly_binomial(p: Polynomial, k: int) -> Polynomial:
     if len(p._num) == 2:
         return _linear_falling(p, k, factorial(k))
     return falling_factorial(p, k) / factorial(k)
+
+
+def falling_sum(terms: Iterable[tuple[int, int, int]], k: int, over: int) -> Polynomial:
+    """sum_{(w, u, c) in terms} w (u x + c)_k / over, for k >= 0.
+
+    Each term's ``_falling_row(c, 1, k)`` is added into one int row with
+    coefficient t scaled by w u**t, and the sum is normalised once.
+    """
+    out = [0] * (k + 1)
+    for w, u, c in terms:
+        scale = w
+        for t, a in enumerate(_falling_row(c, 1, k)):
+            out[t] += a * scale
+            scale *= u
+    return _make(out, over)
 
 
 def finite_difference(p: Polynomial, m: int) -> Polynomial:

@@ -86,8 +86,11 @@ SHARED_PRIMITIVES = [
      {"eq5": False, "eq42": False}),
     (symfun, "gaussian_binomial", bumped(lambda n, k: (n, k) == (5, 2), X),
      dict.fromkeys(BOTH_WAYS[4:], False)),  # pair3, pair4, pair5
+    # eq13's and eq47's rhs read poly_binomial; every alternating sum reads falling_sum
     (identities, "poly_binomial", bumped(lambda p, k: k == 3, X),
-     {"eq13": False, "eq29": False, "eq47": False, "eq17": True}),
+     {"eq13": False, "eq47": False, "eq29": True, "eq17": True}),
+    (identities, "falling_sum", bumped(lambda terms, k, over: k == 3, X),
+     dict.fromkeys(["eq13", "eq17", "eq29", "eq47"], False)),
     (identities, "composition_transform", wrong_transform,
      dict.fromkeys(["eq5", "eq42", "lemma7_roundtrip", *BOTH_WAYS], False)),
     # only Fraction terms run graded: pair1 and pair2, and lemma7's convolution
@@ -136,7 +139,7 @@ def test_a_wrong_cyclotomic_factor_changes_the_cancelling_sides(identity_id, mon
 
 
 def wrong_row(row):
-    # + y on the (0, 1, 3) row, wherever _linear_falling reads it
+    # + y on the (0, 1, 3) row, wherever falling_sum or _linear_falling reads it
     def perturbed(c, d, k):
         out = row(c, d, k)
         return (out[0], out[1] + 1, *out[2:]) if (c, d, k) == ROW_KEY else out
@@ -144,10 +147,11 @@ def wrong_row(row):
     return perturbed
 
 
-def wrong_weight(weighted_sum):
-    # + 1 on the weight of the i = 2 term, C(k+1, 3), of every alternating sum
-    def perturbed(weights, polys):
-        return weighted_sum([w + (i == 2) for i, w in enumerate(weights, 1)], polys)
+def wrong_weight(falling_sum):
+    # + 1 on the weight of the i = 2 terms, those of slope u = 2, of every
+    # alternating sum: C(k+1, 3), and in eq29 both terms of the i = 2 difference
+    def perturbed(terms, k, over):
+        return falling_sum([(w + (u == 2), u, c) for w, u, c in terms], k, over)
 
     return perturbed
 
@@ -166,7 +170,7 @@ def wrong_slid_row(slid):
 # (namespace, name, perturbation): the polynomial-mode fast paths
 POLYNOMIAL_MODE_FAULTS = {
     "falling_row": (poly, "_falling_row", wrong_row),
-    "weighted_sum": (identities, "weighted_sum", wrong_weight),
+    "falling_sum": (identities, "falling_sum", wrong_weight),
 }
 
 
@@ -178,7 +182,7 @@ def test_a_wrong_polynomial_mode_path_fails_polynomial_mode(identity_id, fault, 
     report = verify_range(identity_id, ROW_SUITES[identity_id])
     assert report.cases_failed >= 1
     assert all("n" not in failure.params for failure in report.first_failures)
-    if identity_id != "eq17":  # pointwise mode binomials are ints: no row, no weighted_sum
+    if identity_id != "eq17":  # pointwise mode binomials are ints: no row, no falling_sum
         pointwise = verify_range(identity_id, {"k": (2, 6), "n": (0, 4)})
         assert pointwise.cases_failed == 0
 

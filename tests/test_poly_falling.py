@@ -1,17 +1,18 @@
 """The linear-factor route for falling factorials and binomials of a polynomial,
-and the one-normalisation weighted sum of polynomial mode.
+and the raw-term sum of polynomial mode.
 
 ``poly.poly_falling_factorial`` and ``poly.poly_binomial`` expand a linear p
 by int-list passes over a cached row of prod_{i<k} (y + c - i d), or slide
 the row from its cached (c + d, d, k) neighbour;
 ``exact_arith.falling_factorial`` run on the Polynomial, and a product of
 linear Polynomials for the rows, are the independent references they are
-compared against.  ``poly.weighted_sum`` is compared with the left-to-right
-``sum(w * p)``.
+compared against.  ``poly.falling_sum`` is compared with the left-to-right
+sums of ``w * poly_binomial`` and ``w * poly_falling_factorial``, and with
+the generic loop.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,9 +24,9 @@ from compident.poly import (
     InexactDivisionError,
     Polynomial,
     _falling_row,
+    falling_sum,
     poly_binomial,
     poly_falling_factorial,
-    weighted_sum,
 )
 
 st_nonzero = st.fractions(min_value=-7, max_value=7, max_denominator=6).filter(bool)
@@ -205,26 +206,32 @@ def test_one_eq29_case_slides_its_shifted_rows(rows):
     assert rows["slid"] == [(-i, 1, 12) for i in range(2, 13)]
 
 
-st_poly = st.lists(
-    st.fractions(min_value=-20, max_value=20, max_denominator=12), max_size=6
-).map(Polynomial)
+# eq29's terms at k = 6: each difference C(i (x - 1), 6) - C(i x, 6) as +w and -w
+EQ29_TERMS = [t for i in range(1, 7) for w in [(-1) ** i * comb(7, i + 1)]
+              for t in ((w, i, -i), (-w, i, 0))]
 
 
-@given(st.lists(st.tuples(st.integers(-50, 50), st_poly), max_size=8))
+def left_to_right(expand, terms, k):
+    total = Polynomial()
+    for w, u, c in terms:
+        total = total + w * expand(Polynomial((c, u)), k)
+    return total
+
+
+# raw terms (w, u, c): zero weights, u of either sign, c <= 0 (rows slid from c + 1)
+@given(st.lists(st.tuples(st.integers(-50, 50), st.integers(-6, 6), st.integers(-9, 4)),
+                max_size=8),
+       st.integers(0, 10))
 @settings(max_examples=150, deadline=None)
-@example([])
-@example([(0, Polynomial((Fraction(1, 3), 2)))])  # a zero weight only
-@example([(3, Polynomial((Fraction(1, 2),))), (0, Polynomial((Fraction(5, 7), 1)))])
-@example([(2, Polynomial((Fraction(1, 6), Fraction(3, 4)))),
-          (-1, Polynomial((Fraction(1, 3), Fraction(3, 2))))])  # cancels to zero
-@example([(1, Polynomial((Fraction(1, 2), Fraction(1, 3), 1))),
-          (-1, Polynomial((0, 0, 1)))])  # cancels the top degree
-def test_weighted_sum_matches_the_left_to_right_sum(pairs):
-    weights = [w for w, _ in pairs]
-    polys = [p for _, p in pairs]
-    want = Polynomial()
-    for w, p in pairs:
-        want = want + w * p
-    got = weighted_sum(weights, polys)
-    assert isinstance(got, Polynomial)
-    assert got == want  # structural: the same normal form
+@example([], 3)
+@example([(0, 2, -1)], 4)  # a zero weight only
+@example([(3, 2, -1), (-5, -3, 0), (2, 1, 4)], 0)  # k == 0: the row (1,)
+@example([(3, 2, -1), (-5, -3, 0)], 1)
+@example([(2, 3, -2), (-2, 3, -2)], 5)  # a repeated (u, c) that cancels to zero
+@example([(1, 2, 0), (-1, 2, 1)], 5)  # cancels the top degree
+@example(EQ29_TERMS, 6)
+def test_falling_sum_matches_the_left_to_right_sum(terms, k):
+    binomials = falling_sum(terms, k, factorial(k))
+    assert binomials == left_to_right(poly_binomial, terms, k)
+    assert binomials == left_to_right(reference_binomial, terms, k)
+    assert falling_sum(terms, k, 1) == left_to_right(poly_falling_factorial, terms, k)
