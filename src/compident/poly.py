@@ -12,10 +12,11 @@ also speak Fractions.  Rational functions keep gcd(num, den) == 1 with a
 monic denominator, so equality is structural for them too.
 
 ``poly_falling_factorial`` and ``poly_binomial`` expand a linear p from a
-row of k + 1 ints (built by one int-list pass per factor p - i, or slid
-from a kept neighbour row) and one normalisation at the end; any other p
-goes through the generic ``exact_arith.falling_factorial`` loop of
-Polynomial products.  ``falling_sum`` adds the rows of many raw terms
+row of k + 1 ints, built by one int-list pass per factor p - i, and one
+normalisation at the end; any other p goes through the generic
+``exact_arith.falling_factorial`` loop of Polynomial products.
+``falling_sum`` builds one row per run of consecutive offsets c, slides
+the rest of the run from their neighbours, adds the rows of its raw terms
 w (u x + c)_k scaled into one int row and normalises the sum once.
 """
 
@@ -377,45 +378,9 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(u).monic()
 
 
-# The falling rows of the last 8 (c, d, k) keys used, least recent first.
-# The dict is never mutated: a call that changes it fills a private copy and
-# rebinds the global, so a caller on another thread sees either the old dict
-# or the new one, both correct.
-_falling_rows: dict[tuple[int, int, int], tuple[int, ...]] = {}
-_ROWS_KEPT = 8
-
-
-def _falling_row(c: int, d: int, k: int) -> tuple[int, ...]:
-    """Coefficients of prod_{i<k} (y + c - i d) in y, lowest degree first.
-
-    The row does not depend on the u of p = (u x + c) / d, so eq13's
-    C(i n, k) and eq17's (i n)_k read one (0, 1, k) row for i = 1..k.  A row
-    whose (c + d, d, k) neighbour is kept is slid from it, as eq29's
-    C(i (n - 1), k) rows are; any other is built.  Over eq13, eq47, eq17 and
-    eq29 at k up to 28, the 2,462 reads are 1,868 hits, 379 slides and 215
-    builds.  1 to 16 kept rows raised that run's peak RSS by ~0.12 MB and 64
-    rows by 0.25 MB, so 8 are kept.
-    """
-    global _falling_rows
-    rows = _falling_rows
-    key = (c, d, k)
-    row = rows.get(key)
-    if row is None:
-        above = rows.get((c + d, d, k)) if k else None
-        row = _built_row(c, d, k) if above is None else _slid_row(above, c, d, k)
-    elif next(reversed(rows)) == key:
-        return row
-    rows = dict(rows)
-    rows.pop(key, None)
-    rows[key] = row  # now the most recent
-    if len(rows) > _ROWS_KEPT:
-        del rows[next(iter(rows))]
-    _falling_rows = rows
-    return row
-
-
-def _built_row(c: int, d: int, k: int) -> tuple[int, ...]:
-    # one int-list pass per factor y + c - i d
+def _built_row(c: int, d: int, k: int) -> list[int]:
+    """Coefficients of prod_{i<k} (y + c - i d) in y, lowest degree first:
+    one int-list pass per factor y + c - i d."""
     out = [1]
     for i in range(k):
         v = c - i * d
@@ -426,15 +391,15 @@ def _built_row(c: int, d: int, k: int) -> tuple[int, ...]:
             below = a
         nxt.append(below)
         out = nxt
-    return tuple(out)
+    return out
 
 
-def _slid_row(above: tuple[int, ...], c: int, d: int, k: int) -> tuple[int, ...]:
-    """The (c, d, k) row, k >= 1, as row(c + d) (y + b) / (y + a) with
-    a = c + d and b = c - (k - 1) d: synthetic division from the top,
+def _slid_row(above: list[int], c: int, k: int) -> list[int]:
+    """The (c, 1, k) row, k >= 1, as row(c + 1) (y + b) / (y + a) with
+    a = c + 1 and b = c - k + 1: synthetic division from the top,
     q_{t-1} = p_t - a q_t, fused with the product, b q_t + q_{t-1}.  A
     remainder p_0 - a q_0 raises InexactDivisionError."""
-    a, b = c + d, c - (k - 1) * d
+    a, b = c + 1, c - k + 1
     out = [0] * (k + 1)
     q = 0
     for t in range(k, 0, -1):
@@ -442,20 +407,19 @@ def _slid_row(above: tuple[int, ...], c: int, d: int, k: int) -> tuple[int, ...]
         out[t] = b * q + below
         q = below
     if above[0] != a * q:
-        raise InexactDivisionError(f"inexact slide from the ({a}, {d}, {k}) row")
+        raise InexactDivisionError(f"inexact slide from the ({a}, 1, {k}) row")
     out[0] = b * q
-    return tuple(out)
+    return out
 
 
 def _linear_falling(p: Polynomial, k: int, over: int = 1) -> Polynomial:
     """p (p - 1) ... (p - k + 1) / over for a degree-1 p and k >= 1.
 
     With p = (u x + c) / d the product is prod_i (y + c - i d) / d**k in
-    y = u x: the cached row of ``_falling_row``, then coefficient t times
-    u**t.
+    y = u x: the row ``_built_row(c, d, k)``, then coefficient t times u**t.
     """
     (c, u), d = p._num, p._den
-    out = list(_falling_row(c, d, k))
+    out = _built_row(c, d, k)
     power = 1
     for t in range(1, len(out)):
         power *= u
@@ -498,15 +462,25 @@ def poly_binomial(p: Polynomial, k: int) -> Polynomial:
 def falling_sum(terms: Iterable[tuple[int, int, int]], k: int, over: int) -> Polynomial:
     """sum_{(w, u, c) in terms} w (u x + c)_k / over, for k >= 0.
 
-    Each term's ``_falling_row(c, 1, k)`` is added into one int row with
-    coefficient t scaled by w u**t, and the sum is normalised once.
+    The distinct c are walked from the largest down: a row whose c + 1 came
+    just before it is slid from that row, any other is built.  Each term's
+    row is added into one int row with coefficient t scaled by w u**t, and
+    the sum is normalised once.
     """
-    out = [0] * (k + 1)
+    by_c: dict[int, list[tuple[int, int]]] = {}
     for w, u, c in terms:
-        scale = w
-        for t, a in enumerate(_falling_row(c, 1, k)):
-            out[t] += a * scale
-            scale *= u
+        by_c.setdefault(c, []).append((w, u))
+    out = [0] * (k + 1)
+    row: list[int] = []
+    row_c: int | None = None
+    for c in sorted(by_c, reverse=True):
+        row = _slid_row(row, c, k) if k and row_c == c + 1 else _built_row(c, 1, k)
+        row_c = c
+        for w, u in by_c[c]:
+            scale = w
+            for t, a in enumerate(row):
+                out[t] += a * scale
+                scale *= u
     return _make(out, over)
 
 

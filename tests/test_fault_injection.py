@@ -139,10 +139,12 @@ def test_a_wrong_cyclotomic_factor_changes_the_cancelling_sides(identity_id, mon
 
 
 def wrong_row(row):
-    # + y on the (0, 1, 3) row, wherever falling_sum or _linear_falling reads it
+    # twice the (0, 1, 3) row, wherever falling_sum or _linear_falling builds
+    # it.  eq29 slides its (-i, 1, 3) rows from it and they keep the factor 2;
+    # a + y there would make the next slide raise instead of failing a case
     def perturbed(c, d, k):
         out = row(c, d, k)
-        return (out[0], out[1] + 1, *out[2:]) if (c, d, k) == ROW_KEY else out
+        return [2 * v for v in out] if (c, d, k) == ROW_KEY else out
 
     return perturbed
 
@@ -160,16 +162,16 @@ def wrong_slid_row(slid):
     # twice the slid (-2, 1, 5) row.  The rows slid after it divide it by
     # y - 2, y - 3, ...; a wrong row that lost one of those factors would
     # make the next slide raise InexactDivisionError instead of failing a case
-    def perturbed(above, c, d, k):
-        out = slid(above, c, d, k)
-        return tuple(2 * v for v in out) if (c, d, k) == SLID_KEY else out
+    def perturbed(above, c, k):
+        out = slid(above, c, k)
+        return [2 * v for v in out] if (c, 1, k) == SLID_KEY else out
 
     return perturbed
 
 
 # (namespace, name, perturbation): the polynomial-mode fast paths
 POLYNOMIAL_MODE_FAULTS = {
-    "falling_row": (poly, "_falling_row", wrong_row),
+    "falling_row": (poly, "_built_row", wrong_row),
     "falling_sum": (identities, "falling_sum", wrong_weight),
 }
 
@@ -189,9 +191,8 @@ def test_a_wrong_polynomial_mode_path_fails_polynomial_mode(identity_id, fault, 
 
 @pytest.mark.parametrize("identity_id", sorted(ROW_SUITES))
 def test_a_wrong_slid_row_fails_only_eq29(identity_id, monkeypatch):
-    # only eq29's C(i (n - 1), k) rows, c = -i, have a kept (c + 1) neighbour
-    # at k = 5; an empty cache makes (-2, 1, 5) a slide, not a hit
-    monkeypatch.setattr(poly, "_falling_rows", {})
+    # only eq29's falling_sum has consecutive c: its C(i (n - 1), k) rows,
+    # c = -i, slide from the (c + 1) row before them
     monkeypatch.setattr(poly, "_slid_row", wrong_slid_row(poly._slid_row))
     assert verify_range(identity_id, ROW_SUITES[identity_id]).passed is (identity_id != "eq29")
 

@@ -1,19 +1,19 @@
 """The lock-free memo caches of symfun and stirling under concurrent callers.
 
-bernoulli, phi, cyclotomic, stirling's shared rows and poly's falling rows
-rebind a module global to a new value that is never mutated (poly keeps the
-8 most recent rows in a dict); gaussian_binomial is an lru_cache (maxsize
-1024).  Library
-callers may share them across threads, so four threads fill them from empty
-at the same time, with the interpreter switching threads as often as it
-can, and each thread's values must equal a single-threaded recomputation.
+bernoulli, phi, cyclotomic and stirling's shared rows rebind a module
+global to a new value that is never mutated; gaussian_binomial is an
+lru_cache (maxsize 1024).  Library callers may share them across threads,
+so four threads fill them from empty at the same time, with the interpreter
+switching threads as often as it can, and each thread's values must equal a
+single-threaded recomputation.  poly_binomial, which keeps no state, runs
+alongside them.
 """
 
 import sys
 import threading
 from fractions import Fraction
 
-from compident import poly, stirling, symfun
+from compident import stirling, symfun
 from compident.poly import Polynomial, poly_binomial
 from compident.stirling import stirling1
 from compident.symfun import bernoulli, cyclotomic, gaussian_binomial, phi
@@ -26,7 +26,6 @@ def _reset_caches(monkeypatch):
     monkeypatch.setattr(symfun, "_phi_cache", (Polynomial((1,)),))
     monkeypatch.setattr(symfun, "_cyclotomic_cache", ())
     monkeypatch.setattr(stirling, "_rows", ((1,),))
-    monkeypatch.setattr(poly, "_falling_rows", {})
     gaussian_binomial.cache_clear()
 
 
@@ -39,7 +38,7 @@ def _compute():
         # C(i x, k) and C(x + k - 1, k): the (0, 1, k) and (k - 1, 1, k) rows
         [poly_binomial(Polynomial((c, i)), k)
          for k in range(1, 31) for c in (0, k - 1) for i in (1, 2)],
-        # eq29's C(i (x - 1), k): the (-i, 1, k) rows, slid from (-i + 1, 1, k)
+        # eq29's C(i (x - 1), k): the (-i, 1, k) rows
         [poly_binomial(Polynomial((-i, i)), k) for k in range(2, 25) for i in range(1, k + 1)],
         # stirling's rows grow from s(0, .) to s(100, .), one row per new n
         [stirling1(n, t) for n in range(1, 101) for t in range(1, n + 1)],

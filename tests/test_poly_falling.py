@@ -2,8 +2,8 @@
 and the raw-term sum of polynomial mode.
 
 ``poly.poly_falling_factorial`` and ``poly.poly_binomial`` expand a linear p
-by int-list passes over a cached row of prod_{i<k} (y + c - i d), or slide
-the row from its cached (c + d, d, k) neighbour;
+by int-list passes over a built row of prod_{i<k} (y + c - i d);
+``poly.falling_sum`` also slides a row from its (c + 1) neighbour.
 ``exact_arith.falling_factorial`` run on the Polynomial, and a product of
 linear Polynomials for the rows, are the independent references they are
 compared against.  ``poly.falling_sum`` is compared with the left-to-right
@@ -13,6 +13,7 @@ the generic loop.
 
 from fractions import Fraction
 from math import comb, factorial
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,7 +24,8 @@ from compident.identities import verify_case
 from compident.poly import (
     InexactDivisionError,
     Polynomial,
-    _falling_row,
+    _built_row,
+    _slid_row,
     falling_sum,
     poly_binomial,
     poly_falling_factorial,
@@ -100,13 +102,12 @@ def uncached_row(c, d, k):
     product = Polynomial((1,))
     for i in range(k):
         product = product * Polynomial((c - i * d, 1))
-    return tuple(int(coeff) for coeff in product.coeffs)
+    return [int(coeff) for coeff in product.coeffs]
 
 
 @pytest.fixture
 def rows(monkeypatch):
-    """An empty row cache, and the (c, d, k) keys built and slid from then on."""
-    monkeypatch.setattr(poly, "_falling_rows", {})
+    """The (c, d, k) keys built and slid from then on (d == 1 for a slide)."""
     calls = {"built": [], "slid": []}
     built, slid = poly._built_row, poly._slid_row
 
@@ -114,96 +115,68 @@ def rows(monkeypatch):
         calls["built"].append((c, d, k))
         return built(c, d, k)
 
-    def counted_slide(above, c, d, k):
-        calls["slid"].append((c, d, k))
-        return slid(above, c, d, k)
+    def counted_slide(above, c, k):
+        calls["slid"].append((c, 1, k))
+        return slid(above, c, k)
 
     monkeypatch.setattr(poly, "_built_row", counted_build)
     monkeypatch.setattr(poly, "_slid_row", counted_slide)
     return calls
 
 
-def test_cached_rows_match_the_uncached_pass(rows):
+def test_built_rows_match_the_uncached_pass():
     for k in range(31):
         for d in (1, 2, 3):
             for c in range(-k, k + 1):
-                want = uncached_row(c, d, k)
-                assert _falling_row(c, d, k) == want
-                assert _falling_row(c, d, k) == want  # the cached copy
+                assert _built_row(c, d, k) == uncached_row(c, d, k)
                 p = Polynomial((Fraction(c, d), Fraction(2, d)))
                 if k <= 12 and c % 4 == 0:  # the u**t rescale and the 1/d**k on top
                     assert poly_falling_factorial(p, k) == falling_factorial(p, k)
-                assert len(poly._falling_rows) <= poly._ROWS_KEPT
-    assert rows["slid"] == []  # c rises, so no row's (c + d) neighbour is kept
 
 
-def chain(d, k):
-    # c = 0, -d, ..., -k d: at d = 1, eq29's (0, 1, k) row of C(i n, k) and
-    # its C(i (n - 1), k) rows; each key is its predecessor's (c - d) neighbour
-    return [(-i * d, d, k) for i in range(k + 1)]
-
-
-ORDERS = {
-    "eq29": lambda keys: keys,
-    "reverse": lambda keys: keys[::-1],
-    # each chain key between two others: (c, d, k + 1) and a (c + 5, d, k) row
-    "interleaved": lambda keys: [
-        key
-        for c, d, k in keys
-        for key in ((c, d, k + 1), (c, d, k), (c + 5, d, k))
-    ],
-}
-
-
-@pytest.mark.parametrize("order", sorted(ORDERS))
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_slid_rows_match_the_uncached_pass(order, d, rows):
-    for k in (1, 2, 5, 12):
-        keys = ORDERS[order](chain(d, k))
-        for key in keys:
-            assert _falling_row(*key) == uncached_row(*key)
-        if order != "reverse":  # in reverse, c rises and nothing slides
-            assert set(keys) & set(chain(d, k)[1:]) <= set(rows["slid"])
-    assert all(k >= 1 for _, _, k in rows["slid"])
+@pytest.mark.parametrize("k", [1, 2, 5, 12, 30])
+def test_slid_rows_match_the_uncached_pass(k):
+    # c = 0, -1, ..., -k and on past the zeros of the row: eq29's (0, 1, k) row
+    # of C(i n, k) and its C(i (n - 1), k) rows, each slid from the one before
+    above = uncached_row(k + 3, 1, k)
+    for c in range(k + 2, -2 * k - 3, -1):
+        above = _slid_row(above, c, k)
+        assert above == uncached_row(c, 1, k)
 
 
 def test_the_empty_row_never_slides(rows):
-    # prod over no factors: (1,) at every c, with no factor y + c + d to divide out
-    assert _falling_row(1, 1, 0) == _falling_row(0, 1, 0) == (1,)
-    assert rows == {"built": [(1, 1, 0), (0, 1, 0)], "slid": []}
+    # prod over no factors: [1] at every c, with no factor y + c + 1 to divide out
+    assert falling_sum([(1, 1, 1), (1, 2, 0), (1, 3, -1)], 0, 1) == Polynomial((3,))
+    assert rows == {"built": [(1, 1, 0), (0, 1, 0), (-1, 1, 0)], "slid": []}
+
+
+def test_a_gap_in_c_builds_a_new_row(rows):
+    terms = [(2, 1, 3), (-1, 2, 2), (5, -1, -1), (1, 3, -2), (1, 1, 2)]
+    falling_sum(terms, 6, 1)
+    assert rows == {"built": [(3, 1, 6), (-1, 1, 6)], "slid": [(2, 1, 6), (-2, 1, 6)]}
 
 
 @pytest.mark.parametrize("k", [1, 4, 9])
-def test_a_corrupted_neighbour_raises(k, monkeypatch):
-    above = list(uncached_row(1, 2, k))
-    above[0] += 1  # no longer divisible by y + 1
-    monkeypatch.setattr(poly, "_falling_rows", {(1, 2, k): tuple(above)})
+def test_a_corrupted_neighbour_raises(k):
+    above = uncached_row(0, 1, k)
+    above[0] += 1  # no longer divisible by y + 0
     with pytest.raises(InexactDivisionError):
-        _falling_row(-1, 2, k)
+        _slid_row(above, -1, k)
 
 
-def test_one_eq13_case_builds_each_row_once(rows, monkeypatch):
-    reads = []
-    row = poly._falling_row
-
-    def counted(c, d, k):
-        reads.append((c, d, k))
-        return row(c, d, k)
-
-    monkeypatch.setattr(poly, "_falling_row", counted)
+def test_one_eq13_case_builds_each_row_once(rows):
     assert verify_case("eq13", {"k": 12}).passed
-    # C(i n, 12), i = 1..12, share the (0, 1, 12) row; the rhs C(n + 11, 12)
-    # reads (11, 1, 12): 13 reads, 2 rows built, none slid
-    assert len(reads) == 13
+    # C(i n, 12), i = 1..12, share the lhs's (0, 1, 12) row; the rhs C(n + 11, 12)
+    # builds (11, 1, 12): 2 rows built, none slid
     assert rows == {"built": [(0, 1, 12), (11, 1, 12)], "slid": []}
 
 
 def test_one_eq29_case_slides_its_shifted_rows(rows):
     assert verify_case("eq29", {"k": 12}).passed
-    # i = 1 builds (-1, 1, 12) and (0, 1, 12); i = 2..12 slide (-i, 1, 12)
+    # the lhs builds (0, 1, 12) and slides C(i (n - 1), 12)'s (-i, 1, 12) rows
     # from (-i + 1, 1, 12); the rhs C(i n, 11) builds (0, 1, 11)
-    assert rows["built"] == [(-1, 1, 12), (0, 1, 12), (0, 1, 11)]
-    assert rows["slid"] == [(-i, 1, 12) for i in range(2, 13)]
+    assert rows["built"] == [(0, 1, 12), (0, 1, 11)]
+    assert rows["slid"] == [(-i, 1, 12) for i in range(1, 13)]
 
 
 # eq29's terms at k = 6: each difference C(i (x - 1), 6) - C(i x, 6) as +w and -w
@@ -218,20 +191,27 @@ def left_to_right(expand, terms, k):
     return total
 
 
-# raw terms (w, u, c): zero weights, u of either sign, c <= 0 (rows slid from c + 1)
+# raw terms (w, u, c): zero weights, u of either sign, runs of c (rows slid from c + 1)
 @given(st.lists(st.tuples(st.integers(-50, 50), st.integers(-6, 6), st.integers(-9, 4)),
                 max_size=8),
        st.integers(0, 10))
 @settings(max_examples=150, deadline=None)
 @example([], 3)
 @example([(0, 2, -1)], 4)  # a zero weight only
-@example([(3, 2, -1), (-5, -3, 0), (2, 1, 4)], 0)  # k == 0: the row (1,)
+@example([(3, 2, -1), (-5, -3, 0), (2, 1, 4)], 0)  # k == 0: the row [1]
 @example([(3, 2, -1), (-5, -3, 0)], 1)
 @example([(2, 3, -2), (-2, 3, -2)], 5)  # a repeated (u, c) that cancels to zero
 @example([(1, 2, 0), (-1, 2, 1)], 5)  # cancels the top degree
 @example(EQ29_TERMS, 6)
+@example([(2, 1, 3), (-1, 2, 2), (5, -1, -1), (1, 3, -2)], 6)  # a gap: 3, 2 then -1, -2
+@example([(4, 1, -1), (-3, 2, -1), (7, -2, -1), (1, 1, 0)], 5)  # one c, three u
+@example([(1, 1, 2), (-2, 3, 1), (5, 2, 0), (1, -1, -1)], 0)  # k == 0, consecutive c
+@example(EQ29_TERMS[::-1], 6)  # rising c
+@example(Random(6).sample(EQ29_TERMS, len(EQ29_TERMS)), 6)  # shuffled
 def test_falling_sum_matches_the_left_to_right_sum(terms, k):
     binomials = falling_sum(terms, k, factorial(k))
     assert binomials == left_to_right(poly_binomial, terms, k)
     assert binomials == left_to_right(reference_binomial, terms, k)
     assert falling_sum(terms, k, 1) == left_to_right(poly_falling_factorial, terms, k)
+    # the same terms in another order give the same sum
+    assert falling_sum(Random(k).sample(terms, len(terms)), k, factorial(k)) == binomials

@@ -97,21 +97,39 @@ def test_the_oracle_terms_match_known_values():
     assert cauchy == pair_terms_at("pair4", {}, 6, q)
 
 
+def check_case(identity_id, params, **pinned):
+    """The case passes, and its sides at each q0 are the oracle's transform."""
+    report = verify_case(identity_id, params, **pinned)
+    assert report.passed
+    label, direction = identity_id.split("_")
+    bound = {name: Fraction(value) for name, value in report.params.items()}
+    k = params["k"]
+    for q in Q0S:
+        e, h = pair_terms_at(label, bound, k, q)
+        source, target = (e, h) if direction == "eh" else (h, e)
+        want = composition_transform(lambda i: source[i - 1], k)
+        assert want == target[-1]
+        assert evaluate(report.lhs, q) == want, (params, q)
+        assert evaluate(report.rhs, q) == want, (params, q)
+
+
 @pytest.mark.parametrize("identity_id", Q_PAIR_SUITES)
 def test_q_pair_sides_evaluate_to_the_transform_of_the_evaluated_terms(identity_id):
-    label, direction = identity_id.split("_")
     cases = 0
     for params in default_cases(identity_id):
-        report = verify_case(identity_id, params)
-        assert report.passed
-        bound = {name: Fraction(value) for name, value in report.params.items()}
-        k = params["k"]
-        for q in Q0S:
-            e, h = pair_terms_at(label, bound, k, q)
-            source, target = (e, h) if direction == "eh" else (h, e)
-            want = composition_transform(lambda i: source[i - 1], k)
-            assert want == target[-1]
-            assert evaluate(report.lhs, q) == want, (params, q)
-            assert evaluate(report.rhs, q) == want, (params, q)
+        check_case(identity_id, params)
         cases += 1
-    assert cases == {"pair3": 56, "pair4": 8, "pair5": 40}[label]
+    assert cases == {"pair3": 56, "pair4": 8, "pair5": 40}[identity_id[:5]]
+
+
+@pytest.mark.parametrize("identity_id", Q_PAIR_SUITES[2:])
+def test_q_pair_sides_above_the_default_grid(identity_id):
+    check_case(identity_id, {"k": 16} if identity_id.startswith("pair4") else {"k": 16, "sample": 0})
+
+
+@pytest.mark.parametrize("k", range(4, 8))
+@pytest.mark.parametrize("identity_id", ["pair5_eh", "pair5_he"])
+def test_q_pair_sides_where_factors_cancel(identity_id, k):
+    # b = -a: Phi_2, Phi_4 and Phi_6 cancel out of phi_m, the only binding
+    # that reaches the dividing branch of QGraded.reduced
+    check_case(identity_id, {"k": k, "sample": 0}, a=Fraction(1, 2), b=Fraction(-1, 2))
