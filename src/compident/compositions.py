@@ -20,19 +20,26 @@ b_i = term(i) s**i and U(m) = s**m T(m) follow T's recurrence with no gcd.
 Past k * bits(s) = 4096 those ints outgrow the reduced Fractions, so it
 stays on Fractions there.
 Two independent routes check it: symfun's Toeplitz determinant, and the
-literal enumeration (transform_by_enumeration).  The enumeration is one
-depth-first walk over all 2**(k-1) compositions that forms each prefix
-product once and adds each composition into a bucket S_r by its part count
-r (part_count_sums; inner_sum_positive walks only the compositions with
-exactly r parts); Fraction terms walk as integer numerators over the lcm of
-their denominators.
+literal enumeration (transform_by_enumeration).  The enumeration forms the
+product of every one of the 2**(k-1) compositions on its own, from the
+product of its prefix one part shorter (2**k - k - 1 products in all), and
+adds it into a bucket S_r by its part count r (part_count_sums;
+inner_sum_positive walks only the compositions with exactly r parts).  A
+prefix that leaves _BATCH or more units branches depth-first; the prefixes
+below it that leave fewer go level by level, one list per remainder,
+extended a part at a time by map(mul, ...) and closed by one sum per list.
+So no list outgrows one subtree of 2**_BATCH compositions: on 41-bit int
+terms at k = 18 the walk's allocations peak near 0.2 MB.  Fraction terms
+walk as integer numerators over the lcm L of their denominators, and
+transform_by_enumeration adds the signed buckets over L**k as ints and
+normalises once.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from itertools import combinations, pairwise
+from itertools import combinations, pairwise, repeat
 from math import gcd, lcm
 from operator import mul
 from typing import Any, Callable, Iterator, Sequence
@@ -43,6 +50,8 @@ DEFAULT_ENUMERATION_BUDGET = 20
 BUDGET_ENV_VAR = "COMPIDENT_BUDGET"
 # graded Fraction transforms cost more than Fraction ones past this k * bits(s)
 _GRADED_BITS = 4096
+# _walk runs level by level on the prefixes that leave fewer units than this
+_BATCH = 14
 
 
 class BudgetExceededError(RuntimeError):
@@ -200,8 +209,17 @@ def transform_by_enumeration(terms: Callable[[int], Any], k: int) -> Any:
     if k < 1:
         raise ValueError(f"transform_by_enumeration: k must be >= 1, got {k}")
     check_budget("transform_by_enumeration", k)
+    values, scale = _integer_scaled([terms(i) for i in range(1, k + 1)])
+    sums = _walk(values, k)
+    if scale is not None:
+        # S_r = bucket_r / L**r, so the signed sum is one int over L**k:
+        # sum_r (-1)**(k-r) bucket_r L**(k-r), by Horner in -L
+        total = 0
+        for s in sums:
+            total = total * -scale + s
+        return Fraction(total, scale**k)
     total: Any = None
-    for r, s in enumerate(part_count_sums([terms(i) for i in range(1, k + 1)], k), 1):
+    for r, s in enumerate(sums, 1):
         signed = s if (k - r) % 2 == 0 else -s
         total = signed if total is None else total + signed
     return total
@@ -233,24 +251,51 @@ def _integer_scaled(values: Sequence[Any]) -> tuple[Sequence[Any], int | None]:
 
 
 def _walk(values: Sequence[Any], k: int) -> list[Any]:
-    """[S_1, ..., S_k] by one depth-first walk over the compositions of k
-    with parts at most len(values).  Each prefix product is formed once and
-    shared by every composition that starts with it, and each composition's
-    product is added into the bucket of its part count."""
+    """[S_1, ..., S_k] over the compositions of k with parts at most
+    len(values), each composition's product formed once on its own and
+    added into the bucket of its part count.
+
+    A prefix that leaves _BATCH or more units branches depth-first.  The
+    prefixes one part longer that leave fewer go to ``levels``, one list per
+    remainder, so every list stays inside the subtree of one depth-first
+    prefix (or of the empty one)."""
     largest = len(values)
     sums: list[Any] = [0] * (k + 1)
 
-    def descend(remaining: int, count: int, prefix: Any) -> None:
-        # prefix is the product of the first count - 1 parts
-        for part in range(1, min(remaining, largest + 1)):
-            descend(remaining - part, count + 1, prefix * values[part - 1])
-        if remaining <= largest:
-            sums[count] += prefix * values[remaining - 1]
+    def levels(count: int, lists: list[list[Any]]) -> None:
+        # lists[m] holds the products of the count-part prefixes that leave
+        # m units; each pass closes them all and extends them by one part
+        while len(lists) > 1:
+            deeper: list[list[Any]] = [[] for _ in range(len(lists) - 1)]
+            closed = sums[count + 1]
+            for m, prefixes in enumerate(lists):
+                if not prefixes:
+                    continue
+                lists[m] = []  # free each list once it is read
+                if m <= largest:
+                    closed = sum(map(mul, prefixes, repeat(values[m - 1])), closed)
+                for part in range(1, min(m, largest + 1)):
+                    deeper[m - part] += map(mul, prefixes, repeat(values[part - 1]))
+            sums[count + 1] = closed
+            lists = deeper
+            count += 1
 
-    for first in range(1, min(k, largest + 1)):
-        descend(k - first, 2, values[first - 1])
-    if k <= largest:
-        sums[1] += values[k - 1]
+    def descend(count: int, remaining: int, prefix: Any) -> None:
+        # prefix is the product of count parts, None when count is 0; the
+        # first part's product is its value itself, never 1 * value
+        batch: list[list[Any]] = [[] for _ in range(min(remaining, _BATCH))]
+        for part in range(1, min(remaining, largest + 1)):
+            product = values[part - 1] if prefix is None else prefix * values[part - 1]
+            if remaining - part >= _BATCH:
+                descend(count + 1, remaining - part, product)
+            else:
+                batch[remaining - part].append(product)
+        if remaining <= largest:
+            last = values[remaining - 1]
+            sums[count + 1] += last if prefix is None else prefix * last
+        levels(count + 1, batch)
+
+    descend(0, k, None)
     return sums[1:]
 
 

@@ -246,14 +246,17 @@ def pair_terms(
         h = [multichoose(n, i) for i in range(1, k + 1)]
         return e, h
     if pair_id == "tree":
-        a = Fraction(_require_param(params, "a", pair_id))
-        e = [a * (a - i) ** (i - 1) / factorial(i) for i in range(1, k + 1)]
-        h = [a * (a + i) ** (i - 1) / factorial(i) for i in range(1, k + 1)]
+        # a = p/q: a (a -+ i)**(i-1) / i! = p (p -+ i q)**(i-1) / (q**i i!)
+        p, q = Fraction(_require_param(params, "a", pair_id)).as_integer_ratio()
+        e = [Fraction(p * (p - i * q) ** (i - 1), q**i * factorial(i)) for i in range(1, k + 1)]
+        h = [Fraction(p * (p + i * q) ** (i - 1), q**i * factorial(i)) for i in range(1, k + 1)]
         return e, h
     if pair_id == "bernoulli":
-        a = Fraction(_require_param(params, "a", pair_id))
-        e = [(-1) ** i * a ** i * bernoulli(i) / factorial(i) for i in range(1, k + 1)]
-        h = [a ** i / factorial(i + 1) for i in range(1, k + 1)]
+        # a = p/q: (-1)**i a**i B_i / i! and a**i / (i+1)!, each over q**i
+        p, q = Fraction(_require_param(params, "a", pair_id)).as_integer_ratio()
+        e = [Fraction((-p) ** i * b.numerator, q**i * b.denominator * factorial(i))
+             for i, b in enumerate(map(bernoulli, range(1, k + 1)), 1)]
+        h = [Fraction(p**i, q**i * factorial(i + 1)) for i in range(1, k + 1)]
         return e, h
     if pair_id == "q_binomial":
         n = int(_require_param(params, "n", pair_id))

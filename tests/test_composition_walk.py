@@ -1,11 +1,16 @@
-"""The prefix-sharing composition walk and the algebra of the transform.
+"""The composition walk and the algebra of the transform.
 
-part_count_sums and transform_by_enumeration walk every composition of k
-once, sharing prefix products and, for Fraction terms, running on integer
-numerators over one common denominator.  They are checked against a
-test-local per-r reference that multiplies out each composition from
-enumerate_compositions, on int, Fraction, Polynomial and RationalFunction
-terms.
+part_count_sums and transform_by_enumeration form the product of every
+composition of k once, from its prefix one part shorter: a prefix that
+leaves _BATCH (14) units or more branches depth-first, and the prefixes
+below it go level by level, one list per remainder.  They are checked
+against a test-local per-r reference that multiplies out each composition
+from enumerate_compositions, on int, Fraction, Polynomial and
+RationalFunction terms, on both sides of _BATCH, and on value lists shorter
+than k.  A counting ring pins the 2**k - k - 1 products, and tracemalloc
+pins that the level lists stay small at k = 18.  For Fraction terms the walk
+runs on integer numerators over one common denominator L, and the transform
+reduces one Fraction over L**k.
 
 The transform is E(t) -> 1/E(-t) on the group 1 + tR[[t]], so it is an
 involution and it is multiplicative for the Cauchy product of the
@@ -13,13 +18,16 @@ involution and it is multiplicative for the Cauchy product of the
 through the recurrence and through the walk.
 """
 
+import tracemalloc
 from fractions import Fraction
 from math import comb
+from random import Random
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from compident.compositions import (
+    _BATCH,
     enumerate_compositions,
     inner_sum_positive,
     part_count_sums,
@@ -34,23 +42,26 @@ PHASES = tuple(phase for phase in Phase if phase is not Phase.explain)
 
 
 def reference_sums(values, k):
-    """[S_1, ..., S_k], each composition of k multiplied out on its own."""
+    """[S_1, ..., S_k] over the compositions of k with parts at most
+    len(values), each multiplied out on its own; 0 where there are none."""
     sums = []
     for r in range(1, k + 1):
         total = None
         for comp in enumerate_compositions(k, r):
+            if max(comp) > len(values):
+                continue
             product = None
             for part in comp:
                 term = values[part - 1]
                 product = term if product is None else product * term
             total = product if total is None else total + product
-        sums.append(total)
+        sums.append(0 if total is None else total)
     return sums
 
 
-def reference_transform(values, k):
+def reference_transform(sums, k):
     total = None
-    for r, s in enumerate(reference_sums(values, k), 1):
+    for r, s in enumerate(sums, 1):
         signed = s if (k - r) % 2 == 0 else -s
         total = signed if total is None else total + signed
     return total
@@ -63,7 +74,7 @@ def check_walk(values):
     assert got == expected
     assert [type(s) for s in got] == [type(s) for s in expected]
     total = transform_by_enumeration(lambda i: values[i - 1], k)
-    assert total == reference_transform(values, k)
+    assert total == reference_transform(expected, k)
     assert type(total) is type(values[0])
     for r in range(1, k + 1):
         assert inner_sum_positive(lambda i: values[i - 1], k, r) == expected[r - 1]
@@ -86,6 +97,31 @@ def test_walk_matches_reference_on_fractions(values):
 @settings(max_examples=40, deadline=None, derandomize=True, phases=PHASES)
 def test_walk_matches_reference_on_ints(values):
     check_walk(values)
+
+
+@pytest.mark.parametrize("k", [15, 16])
+def test_walk_matches_reference_past_the_depth_first_switch(k):
+    # the first k whose walk branches depth-first below the empty prefix
+    assert k > _BATCH
+    rng = Random(k)
+    check_walk([rng.randint(-10**6, 10**6) for _ in range(k)])
+
+
+DRAWS = {
+    "int": lambda rng: rng.randint(-10**6, 10**6),
+    "fraction": lambda rng: Fraction(rng.randint(-10**3, 10**3), rng.randint(1, 10**3)),
+}
+
+
+@pytest.mark.parametrize("k, largest", [
+    (5, 1), (5, 2), (5, 4), (13, 1), (13, 3), (13, 12),
+    (15, 2), (15, 3), (15, 14), (16, 1), (16, 3), (16, 9), (16, 15),
+])
+@pytest.mark.parametrize("ring", sorted(DRAWS))
+def test_walk_caps_the_parts_at_the_values_given(ring, k, largest):
+    rng = Random(f"{k}:{largest}")
+    values = [DRAWS[ring](rng) for _ in range(largest)]
+    assert part_count_sums(values, k) == reference_sums(values, k)
 
 
 def _q_pair_lists(k):
@@ -159,6 +195,28 @@ def test_inner_sum_positive_walks_only_prefixes_of_r_part_compositions(r):
     # every prefix walked starts an r-part composition, and each of those
     # forms r products along its path; the walk over all of them forms ~2**k
     assert products <= r * comb(k - 1, r - 1)
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_walk_forms_one_product_per_prefix_of_two_or_more_parts(k):
+    # the sequences of j >= 2 positive parts summing to at most k number
+    # 2**k - k - 1: each is formed once, none shared across suffixes
+    values = [Counted(i) for i in range(1, k + 1)]
+    Counted.products = 0
+    got = part_count_sums(values, k)
+    assert Counted.products == 2**k - k - 1
+    assert [s.value for s in got] == reference_sums(list(range(1, k + 1)), k)
+
+
+def test_walk_keeps_its_level_lists_inside_one_subtree():
+    # a walk that ran level by level from the empty prefix peaks near 2 MB
+    tracemalloc.start()
+    try:
+        part_count_sums([2**40 + i for i in range(18)], 18)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_mixed_int_and_fraction_terms_keep_the_product_types():

@@ -2,9 +2,10 @@
 
 from fractions import Fraction
 from functools import cache
-from math import comb
+from math import comb, factorial
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from compident.compositions import composition_transform
 from compident.exact_arith import binomial, multichoose
@@ -209,6 +210,30 @@ def test_pair_terms_bernoulli_forces_b1():
     a = Fraction(3, 7)
     e, h = pair_terms("bernoulli", {"a": a}, 1)
     assert e[0] == h[0] == a / 2
+
+
+# The catalog formulas term by term in Fraction arithmetic, apart from
+# pair_terms, which builds each term as one Fraction from a = p/q.
+TERM_FORMULAS = {
+    "tree": (lambda a, i: a * (a - i) ** (i - 1) / factorial(i),
+             lambda a, i: a * (a + i) ** (i - 1) / factorial(i)),
+    "bernoulli": (lambda a, i: (-1) ** i * a ** i * bernoulli(i) / factorial(i),
+                  lambda a, i: a ** i / factorial(i + 1)),
+}
+
+
+@pytest.mark.parametrize("pair_id", sorted(TERM_FORMULAS))
+@given(st.fractions(min_value=-10**3, max_value=10**3, max_denominator=10**6),
+       st.integers(1, 20))
+@example(Fraction(0), 20)
+@example(Fraction(-999_999, 10**6), 20)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_pair_terms_match_the_term_by_term_formulas(pair_id, a, k):
+    e_term, h_term = TERM_FORMULAS[pair_id]
+    e, h = pair_terms(pair_id, {"a": a}, k)
+    assert e == [e_term(a, i) for i in range(1, k + 1)]
+    assert h == [h_term(a, i) for i in range(1, k + 1)]
+    assert all(type(term) is Fraction for term in e + h)
 
 
 def test_pair_terms_q_cauchy_first_terms_coincide():
