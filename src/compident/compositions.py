@@ -18,7 +18,10 @@ prod_i (-1)**(k_i-1), T is the O(k**2) e -> h convolution (transform_prefix).
 On Fraction terms it runs graded, in ints: with den(term(i)) | s**i,
 b_i = term(i) s**i and U(m) = s**m T(m) follow T's recurrence with no gcd.
 Past k * bits(s) = 4096 those ints outgrow the reduced Fractions, so it
-stays on Fractions there.
+stays on Fractions there.  composition_transform, which needs T(k) alone,
+hands terms whose type has a composition_transform of its own to it:
+symfun.QGraded runs the recurrence on its numerators packed into ints at
+q = 2**w and unpacks T(k) once.
 Two independent routes check it: symfun's Toeplitz determinant, and the
 literal enumeration (transform_by_enumeration).  The enumeration forms the
 product of every one of the 2**(k-1) compositions on its own, from the
@@ -32,7 +35,8 @@ So no list outgrows one subtree of 2**_BATCH compositions: on 41-bit int
 terms at k = 18 the walk's allocations peak near 0.2 MB.  Fraction terms
 walk as integer numerators over the lcm L of their denominators, and
 transform_by_enumeration adds the signed buckets over L**k as ints and
-normalises once.
+normalises once.  Each bucket starts from its first product, not from the
+int 0, so the walk runs on any ring (QGraded elements too).
 """
 
 from __future__ import annotations
@@ -174,13 +178,17 @@ def composition_transform(terms: Callable[[int], Any], k: int) -> Any:
 
         sum_{r=1}^{k} (-1)**(k-r) sum_{k_1+...+k_r=k, k_i>=1} prod term(k_i)
 
-    Computed by the convolution ``transform_prefix`` in O(k**2) ring operations.
-    Refuses k over the cap (``enumeration_budget``) before reading any term.
+    Computed by the convolution ``transform_prefix`` in O(k**2) ring
+    operations, unless the terms' type has a composition_transform of its
+    own (symfun.QGraded runs it on packed ints).  Refuses k over the cap
+    (``enumeration_budget``) before reading any term.
     """
     if k < 1:
         raise ValueError(f"composition_transform: k must be >= 1, got {k}")
     check_budget("composition_transform", k)
-    return transform_prefix([terms(i) for i in range(1, k + 1)])[-1]
+    values = [terms(i) for i in range(1, k + 1)]
+    own = getattr(type(values[0]), "composition_transform", None)
+    return transform_prefix(values)[-1] if own is None else own(values)
 
 
 def inner_sum_positive(terms: Callable[[int], Any], k: int, r: int) -> Any:
@@ -260,7 +268,9 @@ def _walk(values: Sequence[Any], k: int) -> list[Any]:
     remainder, so every list stays inside the subtree of one depth-first
     prefix (or of the empty one)."""
     largest = len(values)
-    sums: list[Any] = [0] * (k + 1)
+    # a bucket holds None until its first product, which it starts from:
+    # the int 0 would not add to every ring (symfun.QGraded is a tuple)
+    sums: list[Any] = [None] * (k + 1)
 
     def levels(count: int, lists: list[list[Any]]) -> None:
         # lists[m] holds the products of the count-part prefixes that leave
@@ -273,7 +283,8 @@ def _walk(values: Sequence[Any], k: int) -> list[Any]:
                     continue
                 lists[m] = []  # free each list once it is read
                 if m <= largest:
-                    closed = sum(map(mul, prefixes, repeat(values[m - 1])), closed)
+                    products = map(mul, prefixes, repeat(values[m - 1]))
+                    closed = sum(products, next(products) if closed is None else closed)
                 for part in range(1, min(m, largest + 1)):
                     deeper[m - part] += map(mul, prefixes, repeat(values[part - 1]))
             sums[count + 1] = closed
@@ -292,11 +303,13 @@ def _walk(values: Sequence[Any], k: int) -> list[Any]:
                 batch[remaining - part].append(product)
         if remaining <= largest:
             last = values[remaining - 1]
-            sums[count + 1] += last if prefix is None else prefix * last
+            closed = last if prefix is None else prefix * last
+            held = sums[count + 1]
+            sums[count + 1] = closed if held is None else held + closed
         levels(count + 1, batch)
 
     descend(0, k, None)
-    return sums[1:]
+    return [0 if s is None else s for s in sums[1:]]
 
 
 def _exact_walk(values: Sequence[Any], k: int, r: int) -> Any:

@@ -655,5 +655,13 @@ class RationalFunction:
 
 
 def poly_to_json(p: Polynomial) -> list[str]:
-    """Coefficient strings, lowest degree first."""
-    return [str(c) for c in p.coeffs]
+    """Coefficient strings, lowest degree first: str of each Fraction
+    coefficient, c / den reduced by one gcd."""
+    den = p._den
+    if den == 1:
+        return [str(c) for c in p._num]
+    out = []
+    for c in p._num:
+        g = int_gcd(c, den)
+        out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+    return out

@@ -29,16 +29,23 @@ holds their rings, statements and sampled bindings.
 
 The two q-pairs have every term of degree m over phi_m(q) = (1-q)...(1-q^m),
 and q_exp is q_cauchy at (a, b) = (0, -1).  graded_pair_terms gives them as
-QGraded elements: a numerator N over phi_m with m kept beside it.  As
+QGraded elements: a numerator N over phi_m with m kept beside it, built as
+an int row over D**m for a = A/D and b = B/D, one pass per factor.  As
 phi_i phi_j qbinom(i+j, i) = phi_{i+j} (Andrews, The Theory of Partitions,
 ch. 3), the product of (i, N) and (j, M) is (i+j, N M qbinom(i+j, i)), and
 elements of one degree add and negate on their numerators.  Every summand
-of the transform's T(m) has degree m, so the transform runs on QGraded
-terms without a single gcd.  reduced() gives the canonical RationalFunction
-once, at the end, without a gcd too: phi_m = (-1)^m prod_{d<=m}
-Phi_d^(m // d) over the cyclotomic polynomials Phi_d, which are monic and
-irreducible, so trial division of N by each Phi_d leaves it coprime to
-what is left of the denominator.
+of the transform's T(m) has degree m, so the transform of QGraded terms is
+a recurrence on integer rows with no gcd.  QGraded.composition_transform
+runs it on plain ints by Kronecker substitution: each row is evaluated
+once at q = 2**w, CPython int products stand in for polynomial ones, and
+T(k)'s numerator is unpacked once, with w from a proven bound on its
+coefficients.  (transform_prefix still multiplies QGraded elements one by
+one, as the slow path the tests compare against.)  reduced() gives the
+canonical RationalFunction once, at the end, without a gcd too:
+phi_m = (-1)^m prod_{d<=m} Phi_d^(m // d) over the cyclotomic polynomials
+Phi_d, which are monic and irreducible, so trial division of N by each
+Phi_d leaves it coprime to what is left of the denominator.  A Phi_d is
+tried only when it divides N mod q^d - 1, which a multiple of Phi_d must.
 """
 
 from __future__ import annotations
@@ -46,13 +53,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from math import comb, factorial
+from itertools import accumulate, repeat
+from math import comb, factorial, gcd, lcm
 from typing import Any, Mapping, NamedTuple, Sequence
 
 from .compositions import transform_prefix
 from .exact_arith import binomial, multichoose
-from .poly import InexactDivisionError, Polynomial, RationalFunction, divide_out, exact_div
+from .poly import InexactDivisionError, Polynomial, RationalFunction, _make, divide_out, exact_div
 
 DEFAULT_SEED = 1729
 
@@ -298,6 +305,42 @@ class QGraded(NamedTuple):
         i, j = self.degree, other.degree
         return QGraded(i + j, self.num * other.num * gaussian_binomial(i + j, i))
 
+    @staticmethod
+    def composition_transform(values: Sequence["QGraded"]) -> "QGraded":
+        """T(k) of the terms v_i = (i, N_i), i = 1..k, on packed ints.
+
+        With den(N_i) | s**i, the rows b_i = N_i s**i and U(m) = s**m num(T(m))
+        are ints and U(m) = sum (-1)**(i-1) b_i qbinom(m, i) U(m-i).  Each
+        row is evaluated once at X = 2**w, the recurrence runs on those
+        ints, and U(k) is unpacked once into its balanced base-X digits.
+        Those are exact: U(m)'s coefficients are at most L(m), L(0) = 1 and
+        L(m) = sum l1(b_i) l1(qbinom(m, i)) L(m-i), and 2**(w-1) > L(k).
+        """
+        k = len(values)
+        scale = 1
+        for i, v in enumerate(values, 1):
+            if v.degree != i:
+                raise ArithmeticError(f"QGraded: term {i} of a transform has degree {v.degree}")
+            scale *= v.num._den // gcd(v.num._den, scale**i)
+        rows = [[c * (scale**i // v.num._den) for c in v.num._num] for i, v in enumerate(values, 1)]
+        qbinoms = [[gaussian_binomial(m, i)._num for i in range(1, m + 1)] for m in range(k + 1)]
+        # qbinom(m, i) has coefficients >= 0, so its l1 norm is their sum,
+        # C(m, i) <= 2**k; X/2 also exceeds every coefficient packed
+        norms = [sum(map(abs, row)) for row in rows]
+        bounds = [1]
+        for m in range(1, k + 1):
+            bounds.append(sum(n * sum(g) * b
+                              for n, g, b in zip(norms, qbinoms[m], reversed(bounds))))
+        size = (max(bounds[k], *norms, 2**k).bit_length() + 8) // 8
+        points = [_pack([max(c, 0) for c in row], size) - _pack([max(-c, 0) for c in row], size)
+                  for row in rows]
+        signed = [p if i % 2 else -p for i, p in enumerate(points, 1)]
+        us = [1]
+        for m in range(1, k + 1):
+            us.append(sum(b * _pack(g, size) * u
+                          for b, g, u in zip(signed, qbinoms[m], reversed(us))))
+        return QGraded(k, _make(_unpack(us[k], size), scale**k))
+
     def reduced(self) -> RationalFunction:
         """num / phi_degree as a canonical (coprime, monic-denominator)
         RationalFunction, with no gcd.
@@ -306,16 +349,59 @@ class QGraded(NamedTuple):
         is monic and irreducible over Q.  So num is divided exactly by each
         Phi_d until a remainder appears or m // d divisions are done, and
         phi_m by Phi_d as many times; what is left of num is coprime to
-        what is left of phi_m.
+        what is left of phi_m.  A Phi_d that does not divide num's fold
+        (``_fold_divisible``) is not tried at all.
         """
         m = self.degree
         num, den = self.num, phi(m)
         for d in range(1, m + 1):
             factor = cyclotomic(d)
+            if not _fold_divisible(num, factor, d):
+                continue
             num, times = divide_out(num, factor, m // d)
             for _ in range(times):
                 den = exact_div(den, factor)
         return RationalFunction._reduced(num, den)
+
+
+def _pack(row: Sequence[int], size: int) -> int:
+    """The row at X = 2**(8 size), every coefficient in [0, X): one bytes join."""
+    return int.from_bytes(b"".join(map(int.to_bytes, row, repeat(size), repeat("little"))),
+                          "little")
+
+
+def _unpack(value: int, size: int) -> list[int]:
+    """The balanced base-X digits of value, X = 2**(8 size), each of size
+    below X/2: all read from one to_bytes of value biased by X/2 in every
+    digit.  With D the top nonzero digit, X**D / 3 < |value| < X**(D+1), so
+    the length read from 2 |value| is D + 1 or D + 2."""
+    length = (2 * abs(value)).bit_length() // (8 * size) + 1
+    half = 1 << (8 * size - 1)
+    bias = int.from_bytes(half.to_bytes(size, "little") * length, "little")
+    raw = (value + bias).to_bytes(size * length, "little")
+    return [int.from_bytes(raw[j:j + size], "little") - half for j in range(0, len(raw), size)]
+
+
+def _fold_divisible(num: Polynomial, factor: Polynomial, d: int) -> bool:
+    """Whether Phi_d (factor) divides num mod q^d - 1, the fold of num's
+    coefficients summed by index mod d.  Phi_d divides q^d - 1, so False
+    proves that Phi_d does not divide num."""
+    rem = [sum(num._num[t::d]) for t in range(d)]
+    low = factor._num[:-1]  # Phi_d is monic: its top power is -low
+    while len(rem) > len(low):
+        top = rem.pop()
+        for j, c in enumerate(low, len(rem) - len(low)):
+            rem[j] -= top * c
+    return not any(rem)
+
+
+def _times_factors(e_row: list[int], h_row: list[int], a: int, b: int,
+                   shift: int) -> tuple[list[int], list[int]]:
+    """(e_row (a - b q^shift), h_row (a q^shift - b)), one pass over each."""
+    pad = [0] * shift
+    e = [a * x - b * y for x, y in zip(e_row + pad, pad + e_row)]
+    h = [a * y - b * x for x, y in zip(h_row + pad, pad + h_row)]
+    return e, h
 
 
 def graded_pair_terms(
@@ -323,7 +409,9 @@ def graded_pair_terms(
 ) -> tuple[list[QGraded], list[QGraded]]:
     """The q_exp or q_cauchy term lists (e_1..e_k, h_1..h_k) as QGraded
     elements: e_m and h_m are the running products of a - b q^(i-1) and
-    a q^(i-1) - b over phi_m, with (a, b) = (0, -1) for q_exp."""
+    a q^(i-1) - b over phi_m, with (a, b) = (0, -1) for q_exp.  With
+    a = A/D and b = B/D the products run on the int rows of A - B q^(i-1)
+    and A q^(i-1) - B, one pass per factor, and the m-th is over D**m."""
     if k < 1:
         raise ValueError(f"graded_pair_terms: k must be >= 1, got {k}")
     if pair_id == "q_exp":
@@ -334,13 +422,14 @@ def graded_pair_terms(
     else:
         raise ValueError(f"graded_pair_terms: no graded terms for pair {pair_id!r} "
                          f"(choose from {', '.join(GRADED_PAIR_IDS)})")
-    e_num = h_num = Polynomial((a - b,))  # both factors are a - b at i = 1
-    e, h = [QGraded(1, e_num)], [QGraded(1, h_num)]
-    for i in range(2, k + 1):
-        e_num = e_num * Polynomial([a] + [0] * (i - 2) + [-b])
-        h_num = h_num * Polynomial([-b] + [0] * (i - 2) + [a])
-        e.append(QGraded(i, e_num))
-        h.append(QGraded(i, h_num))
+    den = lcm(a.denominator, b.denominator)
+    a_int, b_int = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    e_row = h_row = [1]
+    e, h = [], []
+    for i in range(1, k + 1):
+        e_row, h_row = _times_factors(e_row, h_row, a_int, b_int, i - 1)
+        e.append(QGraded(i, _make(list(e_row), den**i)))
+        h.append(QGraded(i, _make(list(h_row), den**i)))
     return e, h
 
 

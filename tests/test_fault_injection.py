@@ -72,6 +72,29 @@ def wrong_graded_numerator(graded):
     return perturbed
 
 
+def dropped_top_digit(unpack):
+    # the packed q-pair transform loses U(k)'s highest nonzero coefficient
+    def perturbed(value, size):
+        digits = unpack(value, size)
+        top = max((j for j, d in enumerate(digits) if d), default=None)
+        if top is not None:
+            digits[top] = 0
+        return digits
+
+    return perturbed
+
+
+def flipped_e_factor(times_factors):
+    # the e-term rows multiply by a + b q instead of a - b q at i = 2
+    def perturbed(e_row, h_row, a, b, shift):
+        e, h = times_factors(e_row, h_row, a, b, shift)
+        if shift == 1:
+            e = times_factors(e_row, h_row, a, -b, shift)[0]
+        return e, h
+
+    return perturbed
+
+
 def wrong_bucket(walk):
     # + 1 on the walk's two-part bucket S_2 at k = 4 (1/L**2 on Fraction terms)
     def perturbed(values, k):
@@ -121,6 +144,9 @@ SHARED_PRIMITIVES = [
     # pair2 build their Fraction terms with factorials
     (compositions, "_walk", wrong_bucket, only("lemma7_roundtrip")),
     (symfun, "factorial", bumped(lambda i: i == 3, 1), only(*BOTH_WAYS[:4])),
+    # pair4 and pair5 run the packed transform; its unpack reads no target
+    (symfun, "_unpack", dropped_top_digit, only(*PAIR_SUITES)),
+    (symfun, "_times_factors", flipped_e_factor, only(*PAIR_SUITES)),
 ]
 
 
@@ -156,6 +182,18 @@ def test_a_wrong_cyclotomic_factor_changes_the_cancelling_sides(identity_id, mon
     # Phi_4 + 1 = q^2 + 2 divides nothing, so Phi_4 stays in both sides
     wrong = cyclotomic(4) + 1
     monkeypatch.setattr(symfun, "_cyclotomic_cache", (*map(cyclotomic, (1, 2, 3)), wrong))
+    faulty = cancelling_sides(identity_id)
+    assert all(passed for passed, _, _ in faulty)  # the verdicts do not see it
+    assert all(got != want for got, want in zip(faulty, reference))
+
+
+@pytest.mark.parametrize("identity_id", ["pair5_eh", "pair5_he"])
+def test_a_fold_that_finds_no_factor_changes_the_cancelling_sides(identity_id, monkeypatch):
+    # QGraded.reduced divides by a Phi_d only where it divides the fold
+    with monkeypatch.context() as patch:
+        patch.setattr(QGraded, "reduced", gcd_route)
+        reference = cancelling_sides(identity_id)
+    monkeypatch.setattr(symfun, "_fold_divisible", lambda num, factor, d: False)
     faulty = cancelling_sides(identity_id)
     assert all(passed for passed, _, _ in faulty)  # the verdicts do not see it
     assert all(got != want for got, want in zip(faulty, reference))

@@ -5,7 +5,8 @@ benchmark's common arguments, and every case's digest of (id, params, lhs,
 rhs) and the sha256 of the whole stdout must match the record; this is the
 check perfbench/one_pass.py makes after each timed pass.  The record stops at
 k = 28 in polynomial mode, so the stdout digests of the four polynomial-mode
-suites up to k = 60 are pinned here as well.
+suites up to k = 60 are pinned here as well.  The record never reaches the
+dividing branch of QGraded.reduced, so pair5 at b = -a is pinned here too.
 """
 
 import hashlib
@@ -73,3 +74,19 @@ def test_polynomial_mode_up_to_k60_matches_its_digest(identity_id, span, capsys)
     stdout = capsys.readouterr().out
     want = POLYNOMIAL_MODE_K60[identity_id, span]
     assert hashlib.sha256(stdout.encode()).hexdigest() == want
+
+
+# sha256 of the --format json stdout at b = -a, where QGraded.reduced divides
+# Phi_2, Phi_4 and Phi_6 out of phi_m: recorded before the q-pairs ran packed
+CANCELLING_K4_7 = {
+    "pair5_eh": "43518d7c40df220db9c3dc106a7029b145b300afab0e6e8d71c9c9479e501448",
+    "pair5_he": "1036918f2d2b4aaecffd28af21ab082e3cfd95bcd51391c55159685ebb75b6ca",
+}
+
+
+@pytest.mark.parametrize("identity_id", sorted(CANCELLING_K4_7))
+def test_q_pair_sides_where_factors_cancel_match_their_digest(identity_id, capsys):
+    argv = ["verify", "--id", identity_id, "--k", "4..7", "--a=1/2", "--b=-1/2", "--format", "json"]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == CANCELLING_K4_7[identity_id]
