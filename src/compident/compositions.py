@@ -14,11 +14,12 @@ which converts a sequence of elementary-type terms into the complete-type
 value of degree k, and back again when fed the complete-type sequence.  It
 is generic over the ring of the terms: anything supporting +, unary -, and *
 works (ints, Fractions, polynomials, rational functions).  As (-1)**(k-r) =
-prod_i (-1)**(k_i-1), T is the O(k**2) e -> h convolution (transform_prefix).
-On Fraction terms it runs graded, in ints: with den(term(i)) | s**i,
-b_i = term(i) s**i and U(m) = s**m T(m) follow T's recurrence with no gcd.
-Past k * bits(s) = 4096 those ints outgrow the reduced Fractions, so it
-stays on Fractions there.  composition_transform, which needs T(k) alone,
+prod_i (-1)**(k_i-1), T is the O(k**2) e -> h convolution (transform_prefix),
+one loop for every ring.  On Fraction terms that loop runs graded, in ints:
+with den(term(i)) | s**i (graded_scale), b_i = term(i) s**i and
+U(m) = s**m T(m) follow T's recurrence with no gcd.  Past
+k * bits(s) = 4096 those ints outgrow the reduced Fractions, so it stays on
+Fractions there.  composition_transform, which needs T(k) alone,
 hands terms whose type has a composition_transform of its own to it:
 symfun.QGraded runs the recurrence on its numerators packed into ints at
 q = 2**w and unpacks T(k) once.
@@ -46,7 +47,7 @@ from fractions import Fraction
 from itertools import combinations, pairwise, repeat
 from math import gcd, lcm
 from operator import mul
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .exact_arith import DomainError, binomial
 
@@ -130,47 +131,45 @@ def enumerate_weak_compositions(k: int, r: int) -> Iterator[tuple[int, ...]]:
 
 
 def transform_prefix(values: Sequence[Any]) -> list[Any]:
-    """T(1)..T(k) by T(m) = sum_{i=1}^{m} (-1)**(i-1) term(i) T(m-i), T(0) = 1;
-    the i = m summand is term(m) itself, so every T(m) stays in the terms' ring.
-    Fraction terms run graded (``_graded_prefix``) when their scale is small."""
-    scale = _graded_scale(values)
-    if scale is not None:
-        return _graded_prefix(values, scale)
+    """T(1)..T(k) by T(m) = sum_{i=1}^{m} (-1)**(i-1) term(i) T(m-i), T(0) = 1.
+
+    One loop for every ring: with signed_i = (-1)**(i-1) term(i), T(m) is
+    the sum of signed_i T(m-i) for i < m, started from signed_m, so every
+    T(m) stays in the terms' ring and never meets the int 0.  Fraction
+    terms run that loop on their graded ints (``_graded``), U(m) = s**m T(m),
+    and each T(m) = U(m) / s**m is reduced once."""
+    graded = _graded(values)
+    terms, scale = (values, None) if graded is None else graded
+    signed: list[Any] = []
     ts: list[Any] = []
-    for m in range(1, len(values) + 1):
-        total: Any = None
-        for i in range(1, m + 1):
-            product = values[i - 1] if i == m else values[i - 1] * ts[m - i - 1]
-            signed = product if i % 2 else -product
-            total = signed if total is None else total + signed
-        ts.append(total)
-    return ts
+    for i, v in enumerate(terms, 1):
+        signed.append(v if i % 2 else -v)
+        ts.append(sum(map(mul, signed, reversed(ts)), signed[-1]))
+    if scale is None:
+        return ts
+    return [Fraction(u, scale**m) for m, u in enumerate(ts, 1)]
 
 
-def _graded_scale(values: Sequence[Any]) -> int | None:
-    """s with den(v_i) | s**i for every i, built greedily, when every value
-    is a Fraction and k * bits(s) <= _GRADED_BITS; None otherwise."""
-    if any(type(v) is not Fraction for v in values):
-        return None
+def graded_scale(denominators: Iterable[int]) -> int:
+    """s with d_i | s**i for the i-th denominator d_i, built greedily: s
+    takes on only the part of d_i that s**i does not hold yet."""
     scale = 1
-    for i, v in enumerate(values, 1):
-        scale *= v.denominator // gcd(v.denominator, scale**i)
-        if len(values) * scale.bit_length() > _GRADED_BITS:
-            return None
+    for i, d in enumerate(denominators, 1):
+        scale *= d // gcd(d, pow(scale, i, d))
     return scale
 
 
-def _graded_prefix(values: Sequence[Fraction], scale: int) -> list[Fraction]:
-    # b_i = v_i s**i and U(m) = s**m T(m) are ints, and T's recurrence times
-    # s**m is U(m) = sum (-1)**(i-1) b_i U(m-i): no product needs a gcd
-    signed, us, ts, power = [], [1], [], 1
-    for i, v in enumerate(values, 1):
-        power *= scale
-        b = v.numerator * (power // v.denominator)
-        signed.append(b if i % 2 else -b)
-        us.append(sum(map(mul, signed, reversed(us))))
-        ts.append(Fraction(us[-1], power))
-    return ts
+def _graded(values: Sequence[Any]) -> tuple[list[int], int] | None:
+    """([b_1, ..., b_k], s) with b_i = v_i s**i ints, s = ``graded_scale``
+    of the denominators, when every value is a Fraction and
+    k * bits(s) <= _GRADED_BITS; None otherwise.  T's recurrence times s**m
+    is U(m) = sum (-1)**(i-1) b_i U(m-i): no product needs a gcd."""
+    if any(type(v) is not Fraction for v in values):
+        return None
+    scale = graded_scale(v.denominator for v in values)
+    if len(values) * scale.bit_length() > _GRADED_BITS:
+        return None
+    return [v.numerator * (scale**i // v.denominator) for i, v in enumerate(values, 1)], scale
 
 
 def composition_transform(terms: Callable[[int], Any], k: int) -> Any:
@@ -317,19 +316,22 @@ def _exact_walk(values: Sequence[Any], k: int, r: int) -> Any:
     exactly r parts.  Each part leaves at least one unit for every part
     still to come, so every prefix walked ends in an r-part composition, and
     no part exceeds k-r+1; ``values`` holds the terms of parts 1..k-r+1."""
-    total: Any = 0
+    # total starts from the first product, as _walk's buckets do: the int 0
+    # would not add to every ring (symfun.QGraded is a tuple)
+    total: Any = None
 
     def descend(remaining: int, left: int, prefix: Any) -> None:
         # prefix is the product of the parts placed so far; left parts remain
         nonlocal total
         if left == 1:
-            total += prefix * values[remaining - 1]
+            closed = prefix * values[remaining - 1]
+            total = closed if total is None else total + closed
             return
         for part in range(1, remaining - left + 2):
             descend(remaining - part, left - 1, prefix * values[part - 1])
 
     if r == 1:
-        return total + values[k - 1]
+        return values[k - 1]
     for first in range(1, k - r + 2):
         descend(k - first, r - 1, values[first - 1])
     return total

@@ -11,10 +11,10 @@ with remainder run on Python ints.  ``coeffs`` is the read-only
 also speak Fractions.  Rational functions keep gcd(num, den) == 1 with a
 monic denominator, so equality is structural for them too.
 
-``poly_falling_factorial`` and ``poly_binomial`` expand a linear p from a
-row of k + 1 ints, built by one int-list pass per factor p - i, and one
-normalisation at the end; any other p goes through the generic
-``exact_arith.falling_factorial`` loop of Polynomial products.
+``poly_falling_factorial`` expands a linear p from a row of k + 1 ints,
+built by one int-list pass per factor p - i, and one normalisation at the
+end; any other p goes through the generic ``exact_arith.falling_factorial``
+loop of Polynomial products.  ``poly_binomial`` is that product over k!.
 ``falling_sum`` builds one row per run of consecutive offsets c, slides
 the rest of the run from their neighbours, adds the rows of its raw terms
 w (u x + c)_k scaled into one int row and normalises the sum once.
@@ -412,8 +412,8 @@ def _slid_row(above: list[int], c: int, k: int) -> list[int]:
     return out
 
 
-def _linear_falling(p: Polynomial, k: int, over: int = 1) -> Polynomial:
-    """p (p - 1) ... (p - k + 1) / over for a degree-1 p and k >= 1.
+def _linear_falling(p: Polynomial, k: int) -> Polynomial:
+    """p (p - 1) ... (p - k + 1) for a degree-1 p and k >= 1.
 
     With p = (u x + c) / d the product is prod_i (y + c - i d) / d**k in
     y = u x: the row ``_built_row(c, d, k)``, then coefficient t times u**t.
@@ -424,7 +424,7 @@ def _linear_falling(p: Polynomial, k: int, over: int = 1) -> Polynomial:
     for t in range(1, len(out)):
         power *= u
         out[t] *= power
-    return _make(out, d**k * over)
+    return _make(out, d**k)
 
 
 def poly_falling_factorial(p: Polynomial, k: int) -> Polynomial:
@@ -444,19 +444,11 @@ def poly_falling_factorial(p: Polynomial, k: int) -> Polynomial:
 
 
 def poly_binomial(p: Polynomial, k: int) -> Polynomial:
-    """C(p(x), k) expanded as a polynomial: p (p - 1) ... (p - k + 1) / k!.
-
-    C(p, 0) is the constant polynomial 1.  A linear p takes the int-list pass
-    of ``_linear_falling`` with k! folded into its one denominator; any other
-    p is ``exact_arith.falling_factorial`` at p, over k!.
-    """
+    """C(p(x), k) expanded as a polynomial: ``poly_falling_factorial(p, k)``
+    over k!; C(p, 0) is the constant polynomial 1."""
     if k < 0:
         raise ValueError(f"poly_binomial: k must be >= 0, got {k}")
-    if k == 0:
-        return _ONE
-    if len(p._num) == 2:
-        return _linear_falling(p, k, factorial(k))
-    return falling_factorial(p, k) / factorial(k)
+    return poly_falling_factorial(p, k) / factorial(k)
 
 
 def falling_sum(terms: Iterable[tuple[int, int, int]], k: int, over: int) -> Polynomial:

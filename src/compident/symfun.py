@@ -35,13 +35,15 @@ phi_i phi_j qbinom(i+j, i) = phi_{i+j} (Andrews, The Theory of Partitions,
 ch. 3), the product of (i, N) and (j, M) is (i+j, N M qbinom(i+j, i)), and
 elements of one degree add and negate on their numerators.  Every summand
 of the transform's T(m) has degree m, so the transform of QGraded terms is
-a recurrence on integer rows with no gcd.  QGraded.composition_transform
-runs it on plain ints by Kronecker substitution: each row is evaluated
-once at q = 2**w, CPython int products stand in for polynomial ones, and
-T(k)'s numerator is unpacked once, with w from a proven bound on its
-coefficients.  (transform_prefix still multiplies QGraded elements one by
-one, as the slow path the tests compare against.)  reduced() gives the
-canonical RationalFunction once, at the end, without a gcd too:
+a recurrence on integer rows with no gcd, scaled by the s with
+den(N_i) | s**i that compositions.graded_scale builds for Fraction terms
+too.  QGraded.composition_transform runs it on plain ints by Kronecker
+substitution: each row is evaluated once at q = 2**w, CPython int
+products stand in for polynomial ones, and T(k)'s numerator is unpacked
+once, with w from a proven bound on its coefficients.  (transform_prefix
+still multiplies QGraded elements one by one, as the slow path the tests
+compare against.)  reduced() gives the canonical RationalFunction once, at
+the end, without a gcd too:
 phi_m = (-1)^m prod_{d<=m} Phi_d^(m // d) over the cyclotomic polynomials
 Phi_d, which are monic and irreducible, so trial division of N by each
 Phi_d leaves it coprime to what is left of the denominator.  A Phi_d is
@@ -54,10 +56,10 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, lcm
 from typing import Any, Mapping, NamedTuple, Sequence
 
-from .compositions import transform_prefix
+from .compositions import graded_scale, transform_prefix
 from .exact_arith import binomial, multichoose
 from .poly import InexactDivisionError, Polynomial, RationalFunction, _make, divide_out, exact_div
 
@@ -309,7 +311,8 @@ class QGraded(NamedTuple):
     def composition_transform(values: Sequence["QGraded"]) -> "QGraded":
         """T(k) of the terms v_i = (i, N_i), i = 1..k, on packed ints.
 
-        With den(N_i) | s**i, the rows b_i = N_i s**i and U(m) = s**m num(T(m))
+        With den(N_i) | s**i (s from ``compositions.graded_scale``, as for
+        Fraction terms), the rows b_i = N_i s**i and U(m) = s**m num(T(m))
         are ints and U(m) = sum (-1)**(i-1) b_i qbinom(m, i) U(m-i).  Each
         row is evaluated once at X = 2**w, the recurrence runs on those
         ints, and U(k) is unpacked once into its balanced base-X digits.
@@ -317,11 +320,10 @@ class QGraded(NamedTuple):
         L(m) = sum l1(b_i) l1(qbinom(m, i)) L(m-i), and 2**(w-1) > L(k).
         """
         k = len(values)
-        scale = 1
         for i, v in enumerate(values, 1):
             if v.degree != i:
                 raise ArithmeticError(f"QGraded: term {i} of a transform has degree {v.degree}")
-            scale *= v.num._den // gcd(v.num._den, scale**i)
+        scale = graded_scale(v.num._den for v in values)
         rows = [[c * (scale**i // v.num._den) for c in v.num._num] for i, v in enumerate(values, 1)]
         qbinoms = [[gaussian_binomial(m, i)._num for i in range(1, m + 1)] for m in range(k + 1)]
         # qbinom(m, i) has coefficients >= 0, so its l1 norm is their sum,

@@ -34,7 +34,13 @@ from compident.compositions import (
     transform_by_enumeration,
     transform_prefix,
 )
-from compident.symfun import DEFAULT_SEED, pair_terms, random_rational, seeded_rng
+from compident.symfun import (
+    DEFAULT_SEED,
+    graded_pair_terms,
+    pair_terms,
+    random_rational,
+    seeded_rng,
+)
 
 # Every phase but explain: after a failure, explain reruns the exponential walk
 # far more often than shrinking does and delays the report by minutes.
@@ -153,6 +159,19 @@ def test_inner_sum_positive_reads_only_parts_an_r_part_composition_has():
 
             inner_sum_positive(term, k, r)
             assert max(seen) == k - r + 1
+
+
+@pytest.mark.parametrize("pair_id, params", [
+    ("q_exp", {}),
+    ("q_cauchy", {"a": Fraction(1, 3), "b": Fraction(-2, 5)}),
+], ids=["q_exp", "q_cauchy"])
+def test_inner_sum_positive_runs_on_qgraded_terms(pair_id, params):
+    # each sum starts from its first product: a QGraded tuple does not add to the int 0
+    k = 6
+    for graded, reduced in zip(graded_pair_terms(pair_id, params, k), pair_terms(pair_id, params, k)):
+        for r in range(1, k + 1):
+            got = inner_sum_positive(lambda i: graded[i - 1], k, r)
+            assert got.reduced() == inner_sum_positive(lambda i: reduced[i - 1], k, r)
 
 
 class Counted:

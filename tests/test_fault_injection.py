@@ -64,10 +64,13 @@ def wrong_transform(transform):
 
 
 def wrong_graded_numerator(graded):
-    # b_3 + 1 in transform_prefix's graded path: v_3 gains 1 / s**3
-    def perturbed(values, scale):
-        values = [v + Fraction(i == 3, scale**i) for i, v in enumerate(values, 1)]
-        return graded(values, scale)
+    # b_3 + 1 in transform_prefix's graded ints: v_3 gains 1 / s**3
+    def perturbed(values):
+        got = graded(values)
+        if got is None:
+            return None
+        ints, scale = got
+        return [b + (i == 3) for i, b in enumerate(ints, 1)], scale
 
     return perturbed
 
@@ -136,7 +139,7 @@ SHARED_PRIMITIVES = [
     (identities, "composition_transform", wrong_transform,
      dict.fromkeys(["eq5", "eq42", "lemma7_roundtrip", *BOTH_WAYS], False)),
     # only Fraction terms run graded: pair1 and pair2, and lemma7's convolution
-    (compositions, "_graded_prefix", wrong_graded_numerator, {
+    (compositions, "_graded", wrong_graded_numerator, {
         **dict.fromkeys(["lemma7_roundtrip", *BOTH_WAYS[:4]], False),
         **dict.fromkeys(["eq5", "eq42", *BOTH_WAYS[4:]], True),
     }),

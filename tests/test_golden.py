@@ -6,7 +6,9 @@ rhs) and the sha256 of the whole stdout must match the record; this is the
 check perfbench/one_pass.py makes after each timed pass.  The record stops at
 k = 28 in polynomial mode, so the stdout digests of the four polynomial-mode
 suites up to k = 60 are pinned here as well.  The record never reaches the
-dividing branch of QGraded.reduced, so pair5 at b = -a is pinned here too.
+dividing branch of QGraded.reduced, so pair5 at b = -a is pinned here too,
+nor the Fraction fallback of the transform's graded ints, so one case on
+each side of that switch is pinned as well.
 """
 
 import hashlib
@@ -90,3 +92,25 @@ def test_q_pair_sides_where_factors_cancel_match_their_digest(identity_id, capsy
     assert main(argv) == 0
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == CANCELLING_K4_7[identity_id]
+
+
+# sha256 of the --format json stdout of one Fraction pair case on each side of
+# the graded switch k * bits(s) <= 4096: pair1_he at k = 40 runs on graded
+# ints, pair1_eh and pair2_he at k = 60 on Fractions.  Recorded before the
+# graded ints ran through the transform's one loop.
+GRADED_SWITCH = {
+    ("pair1_he", 40): "b10fc162463c7943f998fb0fc5fe1955d282c29b9b6a78c461d08184ee16459c",
+    ("pair1_eh", 60): "913281cde92b51c86713a01bb7c9ac8994ab5f5c7f4404146b646d46a2dab875",
+    ("pair2_he", 60): "7a920ee8e29a104e9ac31d5436cb3cf76e6bf3c09a7365c738f5d1e85cf70855",
+}
+
+
+@pytest.mark.parametrize("identity_id, k", sorted(GRADED_SWITCH))
+def test_fraction_pairs_on_both_sides_of_the_graded_switch_match_their_digest(
+    identity_id, k, monkeypatch, capsys
+):
+    monkeypatch.setenv("COMPIDENT_BUDGET", str(k))
+    argv = ["verify", "--id", identity_id, "--k", f"{k}..{k}", "--samples", "1", "--format", "json"]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == GRADED_SWITCH[identity_id, k]

@@ -1,22 +1,23 @@
 """The graded integer path of transform_prefix against the plain loop.
 
-On Fraction terms transform_prefix picks a scale s with den(v_i) | s**i and
-runs the recurrence on the ints v_i s**i, unless k * bits(s) is large; then
-it keeps the Fraction loop.  Both are checked against a test-local copy of
-that loop: graded shapes (a**i / i!, which take the integer path),
-adversarial ones (distinct 20-bit prime denominators, which fall back) and
-random Fraction lists.  Lists of any other kind (int, mixed int and
+On Fraction terms transform_prefix picks a scale s with den(v_i) | s**i
+(graded_scale, which the q-series transform reads too) and runs its one
+loop on the ints v_i s**i (_graded), unless k * bits(s) is large; then the
+loop runs on the Fractions themselves.  Both are checked against a
+test-local loop that adds one signed product at a time: graded shapes
+(a**i / i!, which take the integer path), adversarial ones (distinct
+20-bit prime denominators, which fall back) and random Fraction lists.  Lists of any other kind (int, mixed int and
 Fraction, Polynomial, QGraded) must give the loop's values and types.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from compident import compositions
-from compident.compositions import transform_prefix
+from compident.compositions import graded_scale, transform_prefix
 from compident.symfun import graded_pair_terms, pair_terms
 
 # 20-bit primes from 2**19 up: distinct, so pairwise coprime denominators
@@ -26,8 +27,8 @@ PRIMES_20 = [
 
 
 def loop(values):
-    """T(1)..T(k) by the recurrence, in the terms' own arithmetic, summed in
-    the order transform_prefix's own loop sums them."""
+    """T(1)..T(k) by the recurrence, in the terms' own arithmetic, one
+    signed product at a time."""
     ts = []
     for m in range(1, len(values) + 1):
         total = None
@@ -44,7 +45,7 @@ def check(values, graded=None):
     assert got == loop(values)
     assert all(type(t) is Fraction for t in got)
     if graded is not None:
-        assert (compositions._graded_scale(values) is not None) is graded
+        assert (compositions._graded(values) is not None) is graded
 
 
 def graded_shape(a, k):
@@ -107,4 +108,16 @@ def test_other_lists_keep_the_loop(values):
     assert got == want
     assert [type(t) for t in got] == [type(t) for t in want]
     if values:
-        assert compositions._graded_scale(values) is None
+        assert compositions._graded(values) is None
+
+
+@given(st.lists(st.integers(1, 10**6), max_size=30))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_graded_scale_holds_each_denominator_in_its_power(denominators):
+    scale = graded_scale(denominators)
+    assert all(scale**i % d == 0 for i, d in enumerate(denominators, 1))
+    # greedy: s takes on only the part of d_i that s**i does not hold yet
+    want = 1
+    for i, d in enumerate(denominators, 1):
+        want *= d // gcd(d, want**i)
+    assert scale == want
