@@ -12,8 +12,8 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
-from typing import Any
+from math import comb, gcd
+from typing import Any, Iterable
 
 
 class DomainError(ValueError):
@@ -68,6 +68,23 @@ def falling_factorial(x: Any, k: int) -> Any:
     for i in range(1, k):
         result = result * (x - i)
     return result
+
+
+def fraction_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
+    """Exact sum of the int pairs (num, den) as one reduced Fraction.
+
+    Each pair is reduced by one gcd, which keeps the common denominator small
+    where a den cancels mostly into its own num; the numerators are added as
+    ints over the lcm of the reduced dens, and the total is reduced once.
+    """
+    total, common = 0, 1
+    for num, den in terms:
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        g = gcd(common, den)
+        total = total * (den // g) + num * (common // g)
+        common *= den // g
+    return Fraction(total, common)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -34,7 +34,11 @@ a coefficient comparison).  Each of these formulas is written once: ``n`` is
 the bound integer, or else the polynomial x, and the ring of ``n`` picks the
 mode.  All four sum over the weights (-1)^i C(k+1, i+1) of ``_alternating``,
 as raw terms (w, u, c) for w C(u n + c, k): ``binomial`` on ints, or one
-``poly.falling_sum`` with one normalisation in polynomial mode.
+``poly.falling_sum`` with one normalisation in polynomial mode.  The
+Rothe-Hagen sums eq36, eq37 and eq38 hand their literal terms, as int pairs
+(num, den), to ``exact_arith.fraction_sum``, which adds them as ints over one
+common denominator: one gcd per term and one reduction per side.  No right
+side reads it.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from random import Random
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .compositions import check_budget, composition_transform, transform_by_enumeration
-from .exact_arith import DomainError, binomial
+from .exact_arith import DomainError, binomial, fraction_sum
 from .poly import Polynomial, RationalFunction, falling_sum, poly_binomial, poly_to_json
 from .stirling import check_eq18, check_eq19, check_eq31, check_eq41, stirling1
 from .symfun import (
@@ -296,36 +300,30 @@ def _eval_eq31(p: Mapping[str, Any], rng: Random | None) -> _Sides:
 
 def _eval_eq36(p: Mapping[str, Any], rng: Random | None) -> _Sides:
     x, n, k = p["x"], p["n"], p["k"]
-    lhs = sum(
-        (
-            (-1) ** (i + k + 1)
-            * comb(k, i)
-            * binomial(x + i * n, k)
-            * Fraction(x, x + i * n)
-        )
+    lhs = fraction_sum(
+        ((-1) ** (i + k + 1) * comb(k, i) * binomial(x + i * n, k) * x, x + i * n)
         for i in range(1, k)
     )
     rhs = rothe_hagen_A(x, n, k) + (-1) ** k * binomial(x, k)
-    return Fraction(lhs), rhs
+    return lhs, rhs
 
 
 def _eval_eq37(p: Mapping[str, Any], rng: Random | None) -> _Sides:
     x, n, k = p["x"], p["n"], p["k"]
-    lhs = sum(
-        (-1) ** (i - 1) * comb(k, i) * binomial(x + i * n, k) * Fraction(1, x + i * n)
+    lhs = fraction_sum(
+        ((-1) ** (i - 1) * comb(k, i) * binomial(x + i * n, k), x + i * n)
         for i in range(1, k + 1)
     )
-    return Fraction(lhs), Fraction(0)
+    return lhs, Fraction(0)
 
 
 def _eval_eq38(p: Mapping[str, Any], rng: Random | None) -> _Sides:
     k, n = p["k"], p["n"]
-    lhs = sum(
-        Fraction((-1) ** (i - 1), i) * binomial(i * n, k) * comb(k, i)
-        for i in range(1, k + 1)
+    lhs = fraction_sum(
+        ((-1) ** (i - 1) * binomial(i * n, k) * comb(k, i), i) for i in range(1, k + 1)
     )
     rhs = Fraction((-1) ** (k - 1) * n, k)
-    return Fraction(lhs), rhs
+    return lhs, rhs
 
 
 def _eval_eq41(p: Mapping[str, Any], rng: Random | None) -> _Sides:
@@ -775,4 +773,4 @@ def rothe_hagen_A(x: int, n: int, k: int) -> Fraction:
     """x/(x + k n) * C(x + k n, k), exact; requires x + k n != 0."""
     if x + k * n == 0:
         raise ZeroDivisionError(f"rothe_hagen_A undefined: x + k*n = 0 (x={x}, n={n}, k={k})")
-    return Fraction(x, x + k * n) * binomial(x + k * n, k)
+    return Fraction(x * binomial(x + k * n, k), x + k * n)

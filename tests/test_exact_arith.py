@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from compident.exact_arith import (
     binomial,
     falling_factorial,
+    fraction_sum,
     multichoose,
     parse_rational,
 )
@@ -110,6 +111,46 @@ def test_falling_factorial_vs_binomial():
     for m in range(-10, 11):
         for k in range(0, 21):
             assert falling_factorial(m, k) == factorial(k) * binomial(m, k)
+
+
+def test_fraction_sum_of_no_terms_is_the_fraction_zero():
+    assert fraction_sum([]) == 0
+    assert type(fraction_sum(iter(()))) is Fraction
+
+
+def test_fraction_sum_of_zero_numerators():
+    assert fraction_sum([(0, 7), (0, -3), (0, 10**30)]) == Fraction(0)
+    # a zero term leaves the common denominator alone
+    assert fraction_sum([(0, 9), (1, 6), (0, 4)]) == Fraction(1, 6)
+
+
+def test_fraction_sum_over_denominators_that_share_factors():
+    assert fraction_sum([(1, 6), (1, 10), (1, 15)]) == Fraction(1, 3)
+    assert fraction_sum([(1, 4), (1, 12), (1, 6)]) == Fraction(1, 2)
+    # each term reduces to 1/2 before the sum: the total cancels to an int
+    assert fraction_sum([(3, 6), (5, 10), (-7, 14)]) == Fraction(1, 2)
+    assert fraction_sum([(3, 6), (5, 10)]) == 1
+    assert fraction_sum([(1, -2), (1, 3)]) == Fraction(-1, 6)
+    assert fraction_sum([(2 * 10**40, 4 * 10**40 + 2), (-1, 2)]).denominator == 2 * (2 * 10**40 + 1)
+
+
+def test_fraction_sum_refuses_a_zero_denominator():
+    with pytest.raises(ZeroDivisionError):
+        fraction_sum([(1, 2), (3, 0)])
+    with pytest.raises(ZeroDivisionError):
+        fraction_sum([(0, 0)])
+
+
+@given(st.lists(st.tuples(st.integers(-10**30, 10**30),
+                          st.integers(-60, 60).filter(bool).map(lambda d: d * 2 ** 7))))
+def test_fraction_sum_matches_a_sum_of_fractions(terms):
+    # denominators d 2^7: every pair shares a factor with every other
+    total = Fraction(0)
+    for num, den in terms:
+        total += Fraction(num, den)
+    got = fraction_sum(terms)
+    assert type(got) is Fraction
+    assert got == total
 
 
 def test_format_scalar():

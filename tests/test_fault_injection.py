@@ -52,6 +52,16 @@ def bumped(hit, delta):
     return perturb
 
 
+def wrong_three_term_sum(fraction_sum):
+    # + 1/den on every 3-term sum, den the first term's denominator
+    def perturbed(terms):
+        terms = list(terms)
+        value = fraction_sum(terms)
+        return value + Fraction(1, terms[0][1]) if len(terms) == 3 else value
+
+    return perturbed
+
+
 def wrong_transform(transform):
     # + 1 on the transform at k = 4, in the ring of its value
     def perturbed(terms, k):
@@ -125,6 +135,8 @@ SHARED_PRIMITIVES = [
         **dict.fromkeys(["eq6", "eq13", "eq36", "eq37", "eq38", "eq47"], False),
         "eq5": True, "eq42": True,
     }),
+    # only the Rothe-Hagen left sides sum int pairs; their right sides do not
+    (identities, "fraction_sum", wrong_three_term_sum, only("eq36", "eq37", "eq38")),
     (symfun, "binomial", bumped(lambda m, k: (m, k) == (5, 2), 1),
      {"eq5": False, "eq42": False}),
     (symfun, "multichoose", bumped(lambda n, k: (n, k) == (4, 3), 1),

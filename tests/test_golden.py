@@ -8,7 +8,8 @@ k = 28 in polynomial mode, so the stdout digests of the four polynomial-mode
 suites up to k = 60 are pinned here as well.  The record never reaches the
 dividing branch of QGraded.reduced, so pair5 at b = -a is pinned here too,
 nor the Fraction fallback of the transform's graded ints, so one case on
-each side of that switch is pinned as well.
+each side of that switch is pinned as well, nor grids of the Rothe-Hagen sums
+above the defaults, so three of those are pinned too.
 """
 
 import hashlib
@@ -114,3 +115,24 @@ def test_fraction_pairs_on_both_sides_of_the_graded_switch_match_their_digest(
     assert main(argv) == 0
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == GRADED_SWITCH[identity_id, k]
+
+
+# sha256 of the --format json stdout of eq36, eq37 and eq38 above their
+# default grids: recorded before their terms were summed as int pairs over one
+# common denominator
+WIDE_ROTHE_HAGEN = {
+    "eq38": (["--k", "1..40", "--n", "1..40"],
+             "4f59c6f9a8ce6ce3178c6d1a624923e3075a3bd7bfae9e12f012ba7e31adb5f1"),
+    "eq37": (["--x", "1..30", "--n", "1..12", "--k", "2..31"],
+             "33161a4577296890e7d8a064feacbba809030aa3a86b22795c3e39c4a45f5fb0"),
+    "eq36": (["--x", "1..12", "--n", "1..12", "--k", "1..24"],
+             "2d5beba018e2b9e75a079a2629d993cc5f70027c7b5f4fdee42aa5094935f366"),
+}
+
+
+@pytest.mark.parametrize("identity_id", sorted(WIDE_ROTHE_HAGEN))
+def test_rothe_hagen_sums_above_the_default_grids_match_their_digest(identity_id, capsys):
+    spans, want = WIDE_ROTHE_HAGEN[identity_id]
+    assert main(["verify", "--id", identity_id, *spans, "--format", "json"]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == want
