@@ -19,10 +19,10 @@ one loop for every ring.  On Fraction terms that loop runs graded, in ints:
 with den(term(i)) | s**i (graded_scale), b_i = term(i) s**i and
 U(m) = s**m T(m) follow T's recurrence with no gcd.  Past
 k * bits(s) = 4096 those ints outgrow the reduced Fractions, so it stays on
-Fractions there.  composition_transform, which needs T(k) alone,
-hands terms whose type has a composition_transform of its own to it:
-symfun.QGraded runs the recurrence on its numerators packed into ints at
-q = 2**w and unpacks T(k) once.
+Fractions there.  composition_transform, which needs T(k) alone, hands
+terms all of one type with a composition_transform of its own to it:
+Polynomial and symfun.QGraded run the recurrence packed into ints at
+q = 2**w (poly.packed_transform) and unpack T(k) once.
 Two independent routes check it: symfun's Toeplitz determinant, and the
 literal enumeration (transform_by_enumeration).  The enumeration forms the
 product of every one of the 2**(k-1) compositions on its own, from the
@@ -178,15 +178,16 @@ def composition_transform(terms: Callable[[int], Any], k: int) -> Any:
         sum_{r=1}^{k} (-1)**(k-r) sum_{k_1+...+k_r=k, k_i>=1} prod term(k_i)
 
     Computed by the convolution ``transform_prefix`` in O(k**2) ring
-    operations, unless the terms' type has a composition_transform of its
-    own (symfun.QGraded runs it on packed ints).  Refuses k over the cap
+    operations, unless all terms have one type with a composition_transform
+    of its own (Polynomial, symfun.QGraded: packed ints).  Refuses k over the cap
     (``enumeration_budget``) before reading any term.
     """
     if k < 1:
         raise ValueError(f"composition_transform: k must be >= 1, got {k}")
     check_budget("composition_transform", k)
     values = [terms(i) for i in range(1, k + 1)]
-    own = getattr(type(values[0]), "composition_transform", None)
+    kinds = set(map(type, values))
+    own = getattr(kinds.pop(), "composition_transform", None) if len(kinds) == 1 else None
     return transform_prefix(values)[-1] if own is None else own(values)
 
 

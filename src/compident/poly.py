@@ -18,15 +18,21 @@ loop of Polynomial products.  ``poly_binomial`` is that product over k!.
 ``falling_sum`` builds one row per run of consecutive offsets c, slides
 the rest of the run from their neighbours, adds the rows of its raw terms
 w (u x + c)_k scaled into one int row and normalises the sum once.
+
+``packed_transform`` runs the composition transform on plain ints at
+q = 2**w (Kronecker substitution): with unit weights for Polynomial terms,
+and with q-binomial ones for the numerators of symfun.QGraded terms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, repeat
 from math import comb, factorial, gcd as int_gcd, inf, lcm
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
+from .compositions import graded_scale
 from .exact_arith import falling_factorial
 
 
@@ -272,6 +278,11 @@ class Polynomial:
             return _make([-c for c in self._num], -lead)
         return _make(list(self._num), lead)
 
+    @staticmethod
+    def composition_transform(values: Sequence["Polynomial"]) -> "Polynomial":
+        """T(k) of the terms v_1..v_k: ``packed_transform`` at unit weights."""
+        return packed_transform(values, lambda m, i: (1,))
+
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self.coeffs]})"
 
@@ -320,6 +331,56 @@ def divide_out(p: Polynomial, factor: Polynomial, times: int) -> tuple[Polynomia
             break
         p, j = q, j + 1
     return p, j
+
+
+def packed_transform(nums: Sequence[Polynomial],
+                     weight: Callable[[int, int], Sequence[int]]) -> Polynomial:
+    """U(k) / s**k for U(0) = 1, U(m) = sum (-1)**(i-1) b_i g(m, i) U(m-i):
+    T(k) of the terms nums when every weight row g(m, i) = weight(m, i) is 1.
+
+    The b_i = nums[i-1] s**i are int rows (s from ``graded_scale``), and
+    the g(m, i) int rows >= 0.  Each row is evaluated once at X = 2**(8
+    size), the recurrence runs on those ints, and U(k) is unpacked once
+    into its balanced base-X digits.  Those are exact: U(m)'s coefficients
+    are at most L(m), L(0) = 1 and L(m) = sum l1(b_i) l1(g(m, i)) L(m-i),
+    and X/2 > L(k).
+    """
+    k = len(nums)
+    scale = graded_scale(p._den for p in nums)
+    rows = [[c * (scale**i // p._den) for c in p._num] for i, p in enumerate(nums, 1)]
+    weights = [[weight(m, i) for i in range(1, m + 1)] for m in range(k + 1)]
+    norms = [sum(map(abs, row)) for row in rows]
+    heights = [list(map(sum, row)) for row in weights]  # l1 norms: no g(m, i) is < 0
+    bounds = [1]
+    for m in range(1, k + 1):
+        bounds.append(sum(n * h * b for n, h, b in zip(norms, heights[m], reversed(bounds))))
+    # X/2 also exceeds every coefficient packed
+    size = (max(bounds[k], *norms, *chain.from_iterable(heights)).bit_length() + 8) // 8
+    points = [_pack([max(c, 0) for c in row], size) - _pack([max(-c, 0) for c in row], size)
+              for row in rows]
+    signed = [p if i % 2 else -p for i, p in enumerate(points, 1)]
+    us = [1]
+    for m in range(1, k + 1):
+        us.append(sum(b * _pack(g, size) * u for b, g, u in zip(signed, weights[m], reversed(us))))
+    return _make(_unpack(us[k], size), scale**k)
+
+
+def _pack(row: Sequence[int], size: int) -> int:
+    """The row at X = 2**(8 size), every coefficient in [0, X): one bytes join."""
+    return int.from_bytes(b"".join(map(int.to_bytes, row, repeat(size), repeat("little"))),
+                          "little")
+
+
+def _unpack(value: int, size: int) -> list[int]:
+    """The balanced base-X digits of value, X = 2**(8 size), each of size
+    below X/2: all read from one to_bytes of value biased by X/2 in every
+    digit.  With D the top nonzero digit, X**D / 3 < |value| < X**(D+1), so
+    the length read from 2 |value| is D + 1 or D + 2."""
+    length = (2 * abs(value)).bit_length() // (8 * size) + 1
+    half = 1 << (8 * size - 1)
+    bias = int.from_bytes(half.to_bytes(size, "little") * length, "little")
+    raw = (value + bias).to_bytes(size * length, "little")
+    return [int.from_bytes(raw[j:j + size], "little") - half for j in range(0, len(raw), size)]
 
 
 def _primitive(values: list[int]) -> list[int]:

@@ -35,15 +35,12 @@ phi_i phi_j qbinom(i+j, i) = phi_{i+j} (Andrews, The Theory of Partitions,
 ch. 3), the product of (i, N) and (j, M) is (i+j, N M qbinom(i+j, i)), and
 elements of one degree add and negate on their numerators.  Every summand
 of the transform's T(m) has degree m, so the transform of QGraded terms is
-a recurrence on integer rows with no gcd, scaled by the s with
-den(N_i) | s**i that compositions.graded_scale builds for Fraction terms
-too.  QGraded.composition_transform runs it on plain ints by Kronecker
-substitution: each row is evaluated once at q = 2**w, CPython int
-products stand in for polynomial ones, and T(k)'s numerator is unpacked
-once, with w from a proven bound on its coefficients.  (transform_prefix
-still multiplies QGraded elements one by one, as the slow path the tests
-compare against.)  reduced() gives the canonical RationalFunction once, at
-the end, without a gcd too:
+a recurrence on the numerators, weighted by q-binomials, with no gcd.
+QGraded.composition_transform runs it on packed ints in
+poly.packed_transform, the kernel pair3's Polynomial terms run with unit
+weights.  (transform_prefix still multiplies QGraded and Polynomial terms
+one by one, as the slow path the tests compare against.)  reduced() gives
+the canonical RationalFunction once, at the end, without a gcd too:
 phi_m = (-1)^m prod_{d<=m} Phi_d^(m // d) over the cyclotomic polynomials
 Phi_d, which are monic and irreducible, so trial division of N by each
 Phi_d leaves it coprime to what is left of the denominator.  A Phi_d is
@@ -55,13 +52,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate
 from math import comb, factorial, lcm
 from typing import Any, Mapping, NamedTuple, Sequence
 
-from .compositions import graded_scale, transform_prefix
+from .compositions import transform_prefix
 from .exact_arith import binomial, multichoose
-from .poly import InexactDivisionError, Polynomial, RationalFunction, _make, divide_out, exact_div
+from .poly import (InexactDivisionError, Polynomial, RationalFunction, _make, divide_out,
+                   exact_div, packed_transform)
 
 DEFAULT_SEED = 1729
 
@@ -70,22 +68,9 @@ GRADED_PAIR_IDS = ("q_exp", "q_cauchy")
 
 
 def _unit_subdiagonal_toeplitz(seq: Sequence[Any]) -> list[list[Any]]:
-    # Entry (i, j) is seq[j - i] (1-indexed offset), 1 on the subdiagonal,
-    # 0 below it.
+    # Entry (i, j) is seq[j - i] for j >= i, 1 on the subdiagonal, 0 below it.
     k = len(seq)
-    rows = []
-    for i in range(k):
-        row: list[Any] = []
-        for j in range(k):
-            offset = j - i + 1
-            if offset >= 1:
-                row.append(seq[offset - 1])
-            elif offset == 0:
-                row.append(1)
-            else:
-                row.append(0)
-        rows.append(row)
-    return rows
+    return [[seq[j - i] if j >= i else int(j == i - 1) for j in range(k)] for i in range(k)]
 
 
 def _field_determinant(rows: list[list[Any]]) -> Any:
@@ -160,14 +145,6 @@ def bernoulli(m: int) -> Fraction:
     return values[m]
 
 
-def _one_minus_q_pow(m: int) -> Polynomial:
-    return Polynomial([1] + [0] * (m - 1) + [-1])
-
-
-def _q_pow(m: int) -> Polynomial:
-    return Polynomial([0] * m + [1])
-
-
 _phi_cache: tuple[Polynomial, ...] = (Polynomial((1,)),)
 
 
@@ -180,7 +157,7 @@ def phi(k: int) -> Polynomial:
     if len(values) <= k:
         grown = list(values)
         for j in range(len(grown), k + 1):
-            grown.append(grown[j - 1] * _one_minus_q_pow(j))
+            grown.append(grown[j - 1] * Polynomial([1] + [0] * (j - 1) + [-1]))  # * (1 - q^j)
         values = _phi_cache = tuple(grown)
     return values[k]
 
@@ -271,7 +248,9 @@ def pair_terms(
         n = int(_require_param(params, "n", pair_id))
         if n < 0:
             raise ValueError(f"pair 'q_binomial': n must be >= 0, got {n}")
-        e = [_q_pow(i * (i - 1) // 2) * gaussian_binomial(n, i) for i in range(1, k + 1)]
+        # q^C(i, 2) qbinom(n, i) is qbinom(n, i)'s row shifted up by C(i, 2)
+        qbinoms = [gaussian_binomial(n, i) for i in range(1, k + 1)]
+        e = [_make([0] * comb(i, 2) + list(g._num), g._den) for i, g in enumerate(qbinoms, 1)]
         h = [gaussian_binomial(n + i - 1, i) for i in range(1, k + 1)]
         return e, h
     if pair_id in GRADED_PAIR_IDS:
@@ -309,39 +288,14 @@ class QGraded(NamedTuple):
 
     @staticmethod
     def composition_transform(values: Sequence["QGraded"]) -> "QGraded":
-        """T(k) of the terms v_i = (i, N_i), i = 1..k, on packed ints.
-
-        With den(N_i) | s**i (s from ``compositions.graded_scale``, as for
-        Fraction terms), the rows b_i = N_i s**i and U(m) = s**m num(T(m))
-        are ints and U(m) = sum (-1)**(i-1) b_i qbinom(m, i) U(m-i).  Each
-        row is evaluated once at X = 2**w, the recurrence runs on those
-        ints, and U(k) is unpacked once into its balanced base-X digits.
-        Those are exact: U(m)'s coefficients are at most L(m), L(0) = 1 and
-        L(m) = sum l1(b_i) l1(qbinom(m, i)) L(m-i), and 2**(w-1) > L(k).
-        """
-        k = len(values)
+        """T(k) of the terms v_i = (i, N_i), i = 1..k: ``packed_transform``
+        of the N_i with weights qbinom(m, i) gives num(T(k))."""
         for i, v in enumerate(values, 1):
             if v.degree != i:
                 raise ArithmeticError(f"QGraded: term {i} of a transform has degree {v.degree}")
-        scale = graded_scale(v.num._den for v in values)
-        rows = [[c * (scale**i // v.num._den) for c in v.num._num] for i, v in enumerate(values, 1)]
-        qbinoms = [[gaussian_binomial(m, i)._num for i in range(1, m + 1)] for m in range(k + 1)]
-        # qbinom(m, i) has coefficients >= 0, so its l1 norm is their sum,
-        # C(m, i) <= 2**k; X/2 also exceeds every coefficient packed
-        norms = [sum(map(abs, row)) for row in rows]
-        bounds = [1]
-        for m in range(1, k + 1):
-            bounds.append(sum(n * sum(g) * b
-                              for n, g, b in zip(norms, qbinoms[m], reversed(bounds))))
-        size = (max(bounds[k], *norms, 2**k).bit_length() + 8) // 8
-        points = [_pack([max(c, 0) for c in row], size) - _pack([max(-c, 0) for c in row], size)
-                  for row in rows]
-        signed = [p if i % 2 else -p for i, p in enumerate(points, 1)]
-        us = [1]
-        for m in range(1, k + 1):
-            us.append(sum(b * _pack(g, size) * u
-                          for b, g, u in zip(signed, qbinoms[m], reversed(us))))
-        return QGraded(k, _make(_unpack(us[k], size), scale**k))
+        nums = [v.num for v in values]
+        return QGraded(len(values),
+                       packed_transform(nums, lambda m, i: gaussian_binomial(m, i)._num))
 
     def reduced(self) -> RationalFunction:
         """num / phi_degree as a canonical (coprime, monic-denominator)
@@ -364,24 +318,6 @@ class QGraded(NamedTuple):
             for _ in range(times):
                 den = exact_div(den, factor)
         return RationalFunction._reduced(num, den)
-
-
-def _pack(row: Sequence[int], size: int) -> int:
-    """The row at X = 2**(8 size), every coefficient in [0, X): one bytes join."""
-    return int.from_bytes(b"".join(map(int.to_bytes, row, repeat(size), repeat("little"))),
-                          "little")
-
-
-def _unpack(value: int, size: int) -> list[int]:
-    """The balanced base-X digits of value, X = 2**(8 size), each of size
-    below X/2: all read from one to_bytes of value biased by X/2 in every
-    digit.  With D the top nonzero digit, X**D / 3 < |value| < X**(D+1), so
-    the length read from 2 |value| is D + 1 or D + 2."""
-    length = (2 * abs(value)).bit_length() // (8 * size) + 1
-    half = 1 << (8 * size - 1)
-    bias = int.from_bytes(half.to_bytes(size, "little") * length, "little")
-    raw = (value + bias).to_bytes(size * length, "little")
-    return [int.from_bytes(raw[j:j + size], "little") - half for j in range(0, len(raw), size)]
 
 
 def _fold_divisible(num: Polynomial, factor: Polynomial, d: int) -> bool:

@@ -86,7 +86,7 @@ def wrong_graded_numerator(graded):
 
 
 def dropped_top_digit(unpack):
-    # the packed q-pair transform loses U(k)'s highest nonzero coefficient
+    # the packed transform loses U(k)'s highest nonzero coefficient
     def perturbed(value, size):
         digits = unpack(value, size)
         top = max((j for j, d in enumerate(digits) if d), default=None)
@@ -159,8 +159,11 @@ SHARED_PRIMITIVES = [
     # pair2 build their Fraction terms with factorials
     (compositions, "_walk", wrong_bucket, only("lemma7_roundtrip")),
     (symfun, "factorial", bumped(lambda i: i == 3, 1), only(*BOTH_WAYS[:4])),
-    # pair4 and pair5 run the packed transform; its unpack reads no target
-    (symfun, "_unpack", dropped_top_digit, only(*PAIR_SUITES)),
+    # pair3, pair4 and pair5 run the packed transform; its unpack reads no target
+    (poly, "_unpack", dropped_top_digit, only(*BOTH_WAYS[4:])),
+    # only pair3's terms are Polynomials: + q on the packed T(4) of the Polynomial route
+    (Polynomial, "composition_transform", bumped(lambda values: len(values) == 4, X),
+     only("pair3_eh", "pair3_he")),
     (symfun, "_times_factors", flipped_e_factor, only(*PAIR_SUITES)),
 ]
 

@@ -9,7 +9,8 @@ suites up to k = 60 are pinned here as well.  The record never reaches the
 dividing branch of QGraded.reduced, so pair5 at b = -a is pinned here too,
 nor the Fraction fallback of the transform's graded ints, so one case on
 each side of that switch is pinned as well, nor grids of the Rothe-Hagen sums
-above the defaults, so three of those are pinned too.
+above the defaults, so three of those are pinned too, nor pair3 above its
+default grid, so both of its directions at k, n <= 16 are pinned case by case.
 """
 
 import hashlib
@@ -41,8 +42,8 @@ def case_digest(report) -> str:
     return hashlib.sha256(json.dumps(record, separators=(",", ":")).encode()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN["workloads"]))
-def test_workload_matches_golden_record(name, monkeypatch, capsys):
+def kept_reports(monkeypatch):
+    # the list every later verify_case report is appended to
     reports = []
     verify_case = identities.verify_case
 
@@ -52,6 +53,12 @@ def test_workload_matches_golden_record(name, monkeypatch, capsys):
         return report
 
     monkeypatch.setattr(identities, "verify_case", keep_report)
+    return reports
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["workloads"]))
+def test_workload_matches_golden_record(name, monkeypatch, capsys):
+    reports = kept_reports(monkeypatch)
     tail = workloads.COMMON_ARGS + ["--seed", str(GOLDEN["seed"])]
     exit_codes = [main(argv + tail) for argv in workloads.WORKLOADS[name]["argvs"]]
     stdout = capsys.readouterr().out
@@ -136,3 +143,23 @@ def test_rothe_hagen_sums_above_the_default_grids_match_their_digest(identity_id
     assert main(["verify", "--id", identity_id, *spans, "--format", "json"]) == 0
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == want
+
+
+# sha256 of the 16-hex case digests, joined with no separator, of pair3 over
+# --k 1..16 --n 0..16: recorded while pair3 ran the generic transform loop on
+# Polynomial products
+WIDE_PAIR3 = {
+    "pair3_eh": "2c22dccd5bae5029755e1722ecf7050bb9ca5c7081d7ee20b83738d8f13be053",
+    "pair3_he": "b4d413f992b3abbb9d01a7794668337197056fe07e3da688b467c32b0f5e6aa6",
+}
+
+
+@pytest.mark.parametrize("identity_id", sorted(WIDE_PAIR3))
+def test_pair3_above_its_default_grid_matches_its_case_digests(identity_id, monkeypatch, capsys):
+    reports = kept_reports(monkeypatch)
+    argv = ["verify", "--id", identity_id, "--k", "1..16", "--n", "0..16", "--format", "json"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(reports) == 16 * 17
+    joined = "".join(case_digest(report) for report in reports)
+    assert hashlib.sha256(joined.encode()).hexdigest() == WIDE_PAIR3[identity_id]

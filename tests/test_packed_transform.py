@@ -1,12 +1,15 @@
-"""The packed transform of QGraded terms and the int-row paths around it.
+"""The packed transform of Polynomial and QGraded terms and the int-row
+paths around it.
 
-composition_transform runs QGraded terms through
-QGraded.composition_transform: every numerator row and every q-binomial is
-evaluated once at X = 2**w, the recurrence runs on CPython ints, and U(k)
-is unpacked once.  It is checked against the generic transform_prefix loop
-over QGraded.__mul__, and both against the literal enumeration of all
-2**(k-1) compositions (transform_by_enumeration), which shares no code with
-either.  graded_pair_terms' int rows are checked against the running
+composition_transform runs a list of Polynomial terms through
+Polynomial.composition_transform and one of QGraded terms through
+QGraded.composition_transform.  Both are poly.packed_transform: every row
+and every weight (1, or a q-binomial) is evaluated once at X = 2**w, the
+recurrence runs on CPython ints, and U(k) is unpacked once.  It is checked
+against the generic transform_prefix loop over Polynomial and QGraded
+products, and both against the literal enumeration of all 2**(k-1)
+compositions (transform_by_enumeration), which shares no code with either.
+pair3 runs no Polynomial ring operation at all.  graded_pair_terms' int rows are checked against the running
 Polynomial product they replaced, QGraded.reduced's fold test against plain
 trial division by each Phi_d with d <= 16, and poly_to_json against str of
 each Fraction coefficient.
@@ -22,15 +25,15 @@ from compident.compositions import (
     transform_by_enumeration,
     transform_prefix,
 )
-from compident.poly import Polynomial, divide_out, poly_to_json
+from compident.identities import verify_range
+from compident.poly import Polynomial, _pack, _unpack, divide_out, poly_to_json
 from compident.symfun import (
     DEFAULT_SEED,
     QGraded,
     _fold_divisible,
-    _pack,
-    _unpack,
     cyclotomic,
     graded_pair_terms,
+    pair_terms,
     random_rational,
     seeded_rng,
 )
@@ -118,6 +121,68 @@ def test_a_term_of_the_wrong_degree_is_refused():
     e, _ = graded_pair_terms("q_exp", {}, 3)
     with pytest.raises(ArithmeticError):
         QGraded.composition_transform([e[0], e[2]])
+
+
+# coefficients: small and 100-digit ints of both signs, and Fractions over
+# distinct primes, so the denominators of one term, and of the terms, are coprime
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+poly_coeffs = st.one_of(
+    st.integers(-9, 9),
+    huge_ints,
+    st.builds(Fraction, st.one_of(st.integers(-9, 9), huge_ints), st.sampled_from(PRIMES)),
+)
+# the zero polynomial and constants among them
+poly_terms = st.lists(poly_coeffs, max_size=4).map(Polynomial)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 12).flatmap(lambda k: st.lists(poly_terms, min_size=k, max_size=k)))
+def test_packed_polynomial_transform_matches_the_loop_and_the_enumeration(values):
+    k = len(values)
+    packed = composition_transform(lambda i: values[i - 1], k)
+    assert packed == Polynomial.composition_transform(values) == transform_prefix(values)[-1]
+    assert packed == transform_by_enumeration(lambda i: values[i - 1], k)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 20), st.integers(1, 12), st.sampled_from(["eh", "he"]))
+def test_packed_pair3_transform_recovers_its_target(n, k, direction):
+    e, h = pair_terms("q_binomial", {"n": n}, k)
+    source, target = (e, h) if direction == "eh" else (h, e)
+    packed = composition_transform(lambda i: source[i - 1], k)
+    assert packed == transform_prefix(source)[-1] == target[-1]
+    if k <= 8:  # products of degree up to k n: the enumeration stays small
+        assert packed == transform_by_enumeration(lambda i: source[i - 1], k)
+
+
+@pytest.mark.parametrize("values", [
+    [Polynomial((1, 2)), 3, Polynomial((0, Fraction(1, 3)))],
+    [3, Polynomial((1, 2)), Polynomial((0, Fraction(1, 3)))],
+])
+def test_a_list_mixing_polynomials_and_ints_runs_the_generic_loop(values, monkeypatch):
+    packed = []
+    monkeypatch.setattr(Polynomial, "composition_transform", staticmethod(packed.append))
+    got = composition_transform(lambda i: values[i - 1], 3)
+    assert packed == [] and got == transform_prefix(values)[-1]
+    as_polynomials = [v if isinstance(v, Polynomial) else Polynomial((v,)) for v in values]
+    composition_transform(lambda i: as_polynomials[i - 1], 3)
+    assert packed == [as_polynomials]
+
+
+RING_OPERATORS = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__", "__neg__")
+
+
+@pytest.mark.parametrize("identity_id", ["pair3_eh", "pair3_he"])
+def test_pair3_runs_no_polynomial_ring_operation(identity_id, monkeypatch):
+    calls = []
+    for name in RING_OPERATORS:
+        def counting(*args, _name=name, _operator=getattr(Polynomial, name)):
+            calls.append(_name)
+            return _operator(*args)
+
+        monkeypatch.setattr(Polynomial, name, counting)
+    assert verify_range(identity_id).passed
+    assert calls == []
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

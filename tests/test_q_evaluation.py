@@ -7,9 +7,9 @@ The terms are computed here in Fractions only, from their closed forms:
 qbinom(n, k) by its product formula, phi_m(q0), and the running products
 a - b q0^(i-1).  None of q0 = 2, 3, -2, 1/2 is a root of unity, so no
 phi_m(q0) is 0.  Both sides of a q-pair are built by the package's
-polynomial code: pair3's with Polynomial.__mul__, pair4's and pair5's from
-the int rows of graded_pair_terms, and their lhs by the packed
-QGraded.composition_transform.  A fault that both sides share changes the
+polynomial code: pair3's as shifted q-binomial rows, pair4's and pair5's
+from the int rows of graded_pair_terms, and every lhs by the packed
+poly.packed_transform.  A fault that both sides share changes the
 serialized value, and this check sees it where the verdict does not.
 
 The oracle checks values, not the canonical form: a wrong factor left in
