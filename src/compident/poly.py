@@ -281,7 +281,7 @@ class Polynomial:
     @staticmethod
     def composition_transform(values: Sequence["Polynomial"]) -> "Polynomial":
         """T(k) of the terms v_1..v_k: ``packed_transform`` at unit weights."""
-        return packed_transform(values, lambda m, i: (1,))
+        return packed_transform(values, lambda m, i, size: 1)
 
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self.coeffs]})"
@@ -334,23 +334,23 @@ def divide_out(p: Polynomial, factor: Polynomial, times: int) -> tuple[Polynomia
 
 
 def packed_transform(nums: Sequence[Polynomial],
-                     weight: Callable[[int, int], Sequence[int]]) -> Polynomial:
+                     weight: Callable[[int, int, int], int]) -> Polynomial:
     """U(k) / s**k for U(0) = 1, U(m) = sum (-1)**(i-1) b_i g(m, i) U(m-i):
-    T(k) of the terms nums when every weight row g(m, i) = weight(m, i) is 1.
+    T(k) of the terms nums when every weight g(m, i) is 1.
 
     The b_i = nums[i-1] s**i are int rows (s from ``graded_scale``), and
-    the g(m, i) int rows >= 0.  Each row is evaluated once at X = 2**(8
-    size), the recurrence runs on those ints, and U(k) is unpacked once
-    into its balanced base-X digits.  Those are exact: U(m)'s coefficients
-    are at most L(m), L(0) = 1 and L(m) = sum l1(b_i) l1(g(m, i)) L(m-i),
-    and X/2 > L(k).
+    each g(m, i) is an int row >= 0 that weight(m, i, size) gives at
+    q = 2**(8 size): at size 0, q = 1, that is its l1 norm.  Each b_i is
+    evaluated once at X = 2**(8 size), the recurrence runs on ints, and
+    U(k) is unpacked once into its balanced base-X digits.  Those are
+    exact: U(m)'s coefficients are at most L(m), L(0) = 1 and
+    L(m) = sum l1(b_i) l1(g(m, i)) L(m-i), and X/2 > L(k).
     """
     k = len(nums)
     scale = graded_scale(p._den for p in nums)
     rows = [[c * (scale**i // p._den) for c in p._num] for i, p in enumerate(nums, 1)]
-    weights = [[weight(m, i) for i in range(1, m + 1)] for m in range(k + 1)]
     norms = [sum(map(abs, row)) for row in rows]
-    heights = [list(map(sum, row)) for row in weights]  # l1 norms: no g(m, i) is < 0
+    heights = [[weight(m, i, 0) for i in range(1, m + 1)] for m in range(k + 1)]
     bounds = [1]
     for m in range(1, k + 1):
         bounds.append(sum(n * h * b for n, h, b in zip(norms, heights[m], reversed(bounds))))
@@ -361,12 +361,16 @@ def packed_transform(nums: Sequence[Polynomial],
     signed = [p if i % 2 else -p for i, p in enumerate(points, 1)]
     us = [1]
     for m in range(1, k + 1):
-        us.append(sum(b * _pack(g, size) * u for b, g, u in zip(signed, weights[m], reversed(us))))
+        us.append(sum(b * weight(m, i, size) * u
+                      for i, (b, u) in enumerate(zip(signed, reversed(us)), 1)))
     return _make(_unpack(us[k], size), scale**k)
 
 
 def _pack(row: Sequence[int], size: int) -> int:
-    """The row at X = 2**(8 size), every coefficient in [0, X): one bytes join."""
+    """The row at X = 2**(8 size), every coefficient in [0, X): one bytes
+    join, or the row's sum at size 0, X = 1."""
+    if not size:
+        return sum(row)
     return int.from_bytes(b"".join(map(int.to_bytes, row, repeat(size), repeat("little"))),
                           "little")
 

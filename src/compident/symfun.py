@@ -58,8 +58,8 @@ from typing import Any, Mapping, NamedTuple, Sequence
 
 from .compositions import transform_prefix
 from .exact_arith import binomial, multichoose
-from .poly import (InexactDivisionError, Polynomial, RationalFunction, _make, divide_out,
-                   exact_div, packed_transform)
+from .poly import (InexactDivisionError, Polynomial, RationalFunction, _make, _pack,
+                   divide_out, exact_div, packed_transform)
 
 DEFAULT_SEED = 1729
 
@@ -68,9 +68,22 @@ GRADED_PAIR_IDS = ("q_exp", "q_cauchy")
 
 
 def _unit_subdiagonal_toeplitz(seq: Sequence[Any]) -> list[list[Any]]:
-    # Entry (i, j) is seq[j - i] for j >= i, 1 on the subdiagonal, 0 below it.
+    # Entry (i, j) is seq[j - i] (1-indexed offset), 1 on the subdiagonal,
+    # 0 below it.
     k = len(seq)
-    return [[seq[j - i] if j >= i else int(j == i - 1) for j in range(k)] for i in range(k)]
+    rows = []
+    for i in range(k):
+        row: list[Any] = []
+        for j in range(k):
+            offset = j - i + 1
+            if offset >= 1:
+                row.append(seq[offset - 1])
+            elif offset == 0:
+                row.append(1)
+            else:
+                row.append(0)
+        rows.append(row)
+    return rows
 
 
 def _field_determinant(rows: list[list[Any]]) -> Any:
@@ -145,6 +158,10 @@ def bernoulli(m: int) -> Fraction:
     return values[m]
 
 
+def _one_minus_q_pow(m: int) -> Polynomial:
+    return Polynomial([1] + [0] * (m - 1) + [-1])
+
+
 _phi_cache: tuple[Polynomial, ...] = (Polynomial((1,)),)
 
 
@@ -157,7 +174,7 @@ def phi(k: int) -> Polynomial:
     if len(values) <= k:
         grown = list(values)
         for j in range(len(grown), k + 1):
-            grown.append(grown[j - 1] * Polynomial([1] + [0] * (j - 1) + [-1]))  # * (1 - q^j)
+            grown.append(grown[j - 1] * _one_minus_q_pow(j))
         values = _phi_cache = tuple(grown)
     return values[k]
 
@@ -294,8 +311,8 @@ class QGraded(NamedTuple):
             if v.degree != i:
                 raise ArithmeticError(f"QGraded: term {i} of a transform has degree {v.degree}")
         nums = [v.num for v in values]
-        return QGraded(len(values),
-                       packed_transform(nums, lambda m, i: gaussian_binomial(m, i)._num))
+        return QGraded(len(values), packed_transform(
+            nums, lambda m, i, size: _pack(gaussian_binomial(m, i)._num, size)))
 
     def reduced(self) -> RationalFunction:
         """num / phi_degree as a canonical (coprime, monic-denominator)

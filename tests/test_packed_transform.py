@@ -9,10 +9,10 @@ recurrence runs on CPython ints, and U(k) is unpacked once.  It is checked
 against the generic transform_prefix loop over Polynomial and QGraded
 products, and both against the literal enumeration of all 2**(k-1)
 compositions (transform_by_enumeration), which shares no code with either.
-pair3 runs no Polynomial ring operation at all.  graded_pair_terms' int rows are checked against the running
-Polynomial product they replaced, QGraded.reduced's fold test against plain
-trial division by each Phi_d with d <= 16, and poly_to_json against str of
-each Fraction coefficient.
+pair3 runs no Polynomial ring operation at all.  graded_pair_terms' int
+rows are checked against the running Polynomial product they replaced,
+QGraded.reduced's fold test against plain trial division by each Phi_d
+with d <= 16, and poly_to_json against str of each Fraction coefficient.
 """
 
 from fractions import Fraction
