@@ -179,8 +179,8 @@ def composition_transform(terms: Callable[[int], Any], k: int) -> Any:
 
     Computed by the convolution ``transform_prefix`` in O(k**2) ring
     operations, unless all terms have one type with a composition_transform
-    of its own (Polynomial, symfun.QGraded: packed ints).  Refuses k over the cap
-    (``enumeration_budget``) before reading any term.
+    of its own (Polynomial, symfun.QGraded: packed ints).  Refuses k over
+    the cap (``enumeration_budget``) before reading any term.
     """
     if k < 1:
         raise ValueError(f"composition_transform: k must be >= 1, got {k}")

@@ -367,10 +367,7 @@ def packed_transform(nums: Sequence[Polynomial],
 
 
 def _pack(row: Sequence[int], size: int) -> int:
-    """The row at X = 2**(8 size), every coefficient in [0, X): one bytes
-    join, or the row's sum at size 0, X = 1."""
-    if not size:
-        return sum(row)
+    """The row at X = 2**(8 size), every coefficient in [0, X): one bytes join."""
     return int.from_bytes(b"".join(map(int.to_bytes, row, repeat(size), repeat("little"))),
                           "little")
 

@@ -310,9 +310,7 @@ class QGraded(NamedTuple):
         for i, v in enumerate(values, 1):
             if v.degree != i:
                 raise ArithmeticError(f"QGraded: term {i} of a transform has degree {v.degree}")
-        nums = [v.num for v in values]
-        return QGraded(len(values), packed_transform(
-            nums, lambda m, i, size: _pack(gaussian_binomial(m, i)._num, size)))
+        return QGraded(len(values), packed_transform([v.num for v in values], _qbinom_weight))
 
     def reduced(self) -> RationalFunction:
         """num / phi_degree as a canonical (coprime, monic-denominator)
@@ -335,6 +333,11 @@ class QGraded(NamedTuple):
             for _ in range(times):
                 den = exact_div(den, factor)
         return RationalFunction._reduced(num, den)
+
+
+def _qbinom_weight(m: int, i: int, size: int) -> int:
+    """qbinom(m, i) at q = 2**(8 size): at size 0, q = 1, that is C(m, i)."""
+    return _pack(gaussian_binomial(m, i)._num, size) if size else comb(m, i)
 
 
 def _fold_divisible(num: Polynomial, factor: Polynomial, d: int) -> bool:

@@ -31,7 +31,9 @@ from compident.symfun import (
     DEFAULT_SEED,
     QGraded,
     _fold_divisible,
+    _qbinom_weight,
     cyclotomic,
+    gaussian_binomial,
     graded_pair_terms,
     pair_terms,
     random_rational,
@@ -209,6 +211,14 @@ def test_unpack_reads_back_every_packed_row(row, spare):
         width -= 1
     assert digits[:width] == row[:width] and not any(digits[width:])
     assert len(digits) <= width + 1  # at most one zero digit on top
+
+
+@pytest.mark.parametrize("size", [0, 1, 3])
+def test_the_qbinom_weight_is_the_q_binomial_at_q_equal_to_2_to_the_8_size(size):
+    # size 0 is q = 1, where qbinom(m, i) is C(m, i), its l1 norm
+    for m in range(13):  # every coefficient of qbinom(m, i) is below 2**8
+        for i in range(m + 1):
+            assert _qbinom_weight(m, i, size) == gaussian_binomial(m, i)(2 ** (8 * size))
 
 
 int_rows = st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=40)
