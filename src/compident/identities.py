@@ -338,7 +338,7 @@ def _eval_eq47(p: Mapping[str, Any], rng: Random | None) -> _Sides:
 
 def _eval_lemma7(p: Mapping[str, Any], rng: Random | None) -> _Sides:
     k = p["k"]
-    check_budget("transform_by_enumeration", k)  # before the O(k**3) determinant
+    check_budget("transform_by_enumeration", k)  # before any route runs
     e_seq = [random_rational(rng) for _ in range(k)]
     h_seq = h_from_e_conv(e_seq)
     det_h = h_from_e_det(e_seq)

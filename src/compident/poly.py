@@ -356,9 +356,10 @@ def packed_transform(nums: Sequence[Polynomial],
         bounds.append(sum(n * h * b for n, h, b in zip(norms, heights[m], reversed(bounds))))
     # X/2 also exceeds every coefficient packed
     size = (max(bounds[k], *norms, *chain.from_iterable(heights)).bit_length() + 8) // 8
-    points = [_pack([max(c, 0) for c in row], size) - _pack([max(-c, 0) for c in row], size)
-              for row in rows]
-    signed = [p if i % 2 else -p for i, p in enumerate(points, 1)]
+    # (-1)**(i-1) b_i at X, packed once: each coefficient biased by X/2 into [0, X)
+    half = 1 << (8 * size - 1)
+    signed = [_pack([(c if i % 2 else -c) + half for c in row], size) - _bias(size, len(row))
+              for i, row in enumerate(rows, 1)]
     us = [1]
     for m in range(1, k + 1):
         us.append(sum(b * weight(m, i, size) * u
@@ -372,6 +373,12 @@ def _pack(row: Sequence[int], size: int) -> int:
                           "little")
 
 
+def _bias(size: int, length: int) -> int:
+    """X/2 in each of length base-X digits, X = 2**(8 size): a row of
+    coefficients in (-X/2, X/2) packs as _pack of the row plus X/2 minus it."""
+    return int.from_bytes((1 << (8 * size - 1)).to_bytes(size, "little") * length, "little")
+
+
 def _unpack(value: int, size: int) -> list[int]:
     """The balanced base-X digits of value, X = 2**(8 size), each of size
     below X/2: all read from one to_bytes of value biased by X/2 in every
@@ -379,8 +386,7 @@ def _unpack(value: int, size: int) -> list[int]:
     the length read from 2 |value| is D + 1 or D + 2."""
     length = (2 * abs(value)).bit_length() // (8 * size) + 1
     half = 1 << (8 * size - 1)
-    bias = int.from_bytes(half.to_bytes(size, "little") * length, "little")
-    raw = (value + bias).to_bytes(size * length, "little")
+    raw = (value + _bias(size, length)).to_bytes(size * length, "little")
     return [int.from_bytes(raw[j:j + size], "little") - half for j in range(0, len(raw), size)]
 
 

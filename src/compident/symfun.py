@@ -8,9 +8,13 @@ Toeplitz determinant with unit subdiagonal (h_from_e_det), and the
 enumeration of all 2**(k-1) compositions
 (compositions.transform_by_enumeration).  The determinant and the
 enumeration share no code with the convolution or with each other, so they
-are its independent checks; the determinant eliminates in plain Fractions,
-apart from the convolution's graded integers.  q-binomials are built on int
-coefficient lists by one linear pass per factor (gaussian_binomial).
+are its independent checks.  The determinant runs on ints as well, but not
+on the convolution's: the convolution scales e_i by s**i (graded_scale) and
+sums products of h_{m-i}, while the determinant scales every term by the
+one lcm L of their denominators, keeps L on its subdiagonal, and
+eliminates fraction-free on one row of the matrix (_hessenberg_det).
+q-binomials are built on int coefficient lists by one linear pass per
+factor (gaussian_binomial).
 
 The catalog binds six closed-form (e, h) sequence pairs:
 
@@ -67,63 +71,44 @@ PAIR_IDS = ("binomial", "tree", "bernoulli", "q_binomial", "q_exp", "q_cauchy")
 GRADED_PAIR_IDS = ("q_exp", "q_cauchy")
 
 
-def _unit_subdiagonal_toeplitz(seq: Sequence[Any]) -> list[list[Any]]:
-    # Entry (i, j) is seq[j - i] (1-indexed offset), 1 on the subdiagonal,
-    # 0 below it.
-    k = len(seq)
-    rows = []
-    for i in range(k):
-        row: list[Any] = []
-        for j in range(k):
-            offset = j - i + 1
-            if offset >= 1:
-                row.append(seq[offset - 1])
-            elif offset == 0:
-                row.append(1)
-            else:
-                row.append(0)
-        rows.append(row)
-    return rows
+def _hessenberg_det(seq: Sequence[Any], one: Any) -> Any:
+    """det of the k x k matrix with seq[j - i] at (i, j) for j >= i, one on
+    the subdiagonal and 0 below it: fraction-free (Bareiss) elimination.
 
-
-def _field_determinant(rows: list[list[Any]]) -> Any:
-    """Exact Gaussian elimination with first-nonzero pivoting."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    det: Any = 1
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return det * 0
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            det = -det
-        pivot = m[col][col]
-        det = det * pivot
-        for r in range(col + 1, n):
-            entry = m[r][col]
-            if entry == 0:
-                continue
-            factor = entry / pivot
-            for c in range(col + 1, n):
-                m[r][c] = m[r][c] - factor * m[col][c]
-            m[r][col] = 0
-    return det
+    The matrix is upper Hessenberg, so only the row just below the pivot p
+    has an entry (one) in p's column.  Replacing that row, (one, seq...),
+    by p times it minus one times the pivot row multiplies the determinant
+    by p, and expanding along the cleared column takes the factor p out
+    again: Bareiss's exact division cancels, and the state is one row.  It
+    is an identity of polynomials in the entries, so it holds at p = 0 too.
+    """
+    row = seq
+    for _ in range(len(seq) - 1):
+        pivot = row[0]
+        below = row[1:] if one == 1 else [one * y for y in row[1:]]
+        row = [pivot * x - y for x, y in zip(seq, below)]
+    return row[0]
 
 
 def h_from_e_det(e_terms: Sequence[Any]) -> Any:
-    """h_k as the k x k Toeplitz determinant in e_1..e_k (field entries).
+    """h_k as the k x k Toeplitz determinant in e_1..e_k, with 1 on the
+    subdiagonal and 0 below it.
 
     e and h play symmetric roles, so the same determinant in h_1..h_k
-    gives e_k: one call maps e to h and h to e.
+    gives e_k: one call maps e to h and h to e.  Fraction terms are scaled
+    to ints by the lcm L of their denominators, with L on the subdiagonal,
+    and the result is that determinant over L**k.  Any other ring,
+    ints included, is eliminated as it is, with no division: int terms
+    give an exact int.
     """
     if not e_terms:
         raise ValueError("h_from_e_det: need at least e_1")
-    return _field_determinant(_unit_subdiagonal_toeplitz(e_terms))
+    if (any(isinstance(x, Fraction) for x in e_terms)
+            and all(isinstance(x, (int, Fraction)) for x in e_terms)):
+        one = lcm(*(x.denominator for x in e_terms))
+        det = _hessenberg_det([x.numerator * (one // x.denominator) for x in e_terms], one)
+        return Fraction(det, one ** len(e_terms))
+    return _hessenberg_det(e_terms, 1)
 
 
 def h_from_e_conv(e_terms: Sequence[Any]) -> list[Any]:

@@ -158,6 +158,10 @@ SHARED_PRIMITIVES = [
     # the enumeration oracle is lemma7's third route, and only pair1 and
     # pair2 build their Fraction terms with factorials
     (compositions, "_walk", wrong_bucket, only("lemma7_roundtrip")),
+    # the determinant is lemma7's first route, and no other suite reads it:
+    # + 1 on the lcm-scaled determinant at k = 4
+    (symfun, "_hessenberg_det", bumped(lambda seq, one: len(seq) == 4, 1),
+     only("lemma7_roundtrip")),
     (symfun, "factorial", bumped(lambda i: i == 3, 1), only(*BOTH_WAYS[:4])),
     # pair3, pair4 and pair5 run the packed transform; its unpack reads no target
     (poly, "_unpack", dropped_top_digit, only(*BOTH_WAYS[4:])),

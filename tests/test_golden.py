@@ -10,7 +10,8 @@ dividing branch of QGraded.reduced, so pair5 at b = -a is pinned here too,
 nor the Fraction fallback of the transform's graded ints, so one case on
 each side of that switch is pinned as well, nor grids of the Rothe-Hagen sums
 above the defaults, so three of those are pinned too, nor pair3 above its
-default grid, so both of its directions at k, n <= 16 are pinned case by case.
+default grid, so both of its directions at k, n <= 16 are pinned case by case,
+nor lemma7 above its default grid, so k = 15..16 is pinned too.
 """
 
 import hashlib
@@ -163,3 +164,17 @@ def test_pair3_above_its_default_grid_matches_its_case_digests(identity_id, monk
     assert len(reports) == 16 * 17
     joined = "".join(case_digest(report) for report in reports)
     assert hashlib.sha256(joined.encode()).hexdigest() == WIDE_PAIR3[identity_id]
+
+
+# sha256 of the --format json stdout of lemma7 at k = 15..16, where the
+# enumeration walk first branches depth-first; each case's lhs prints the
+# determinant first.  Recorded while the determinant ran dividing Fraction
+# elimination.
+LEMMA7_K15_16 = "f35db0884c6a129a37992a3cdd3aa79bb285f41d30be158ad6863369d7988963"
+
+
+def test_lemma7_above_its_default_grid_matches_its_digest(capsys):
+    argv = ["verify", "--id", "lemma7_roundtrip", "--k", "15..16", "--format", "json"]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == LEMMA7_K15_16

@@ -65,12 +65,63 @@ def toeplitz_oracle(seq):
 
 def test_h_from_e_det_examples():
     assert h_from_e_det([2, 1, 0]) == det_cofactor([[2, 1, 0], [1, 2, 1], [0, 1, 2]]) == 4
+    assert type(h_from_e_det([2, 1, 0])) is int
     assert h_from_e_det([Fraction(5, 3)]) == Fraction(5, 3)
     rng = seeded_rng(DEFAULT_SEED, "det-example")
     e = [random_rational(rng) for _ in range(5)]
     assert h_from_e_det(e) == h_from_e_conv(e)[-1]
     with pytest.raises(ValueError):
         h_from_e_det([])
+
+
+def test_h_from_e_det_on_ints_is_an_exact_int():
+    # an int entry divided by an int pivot would give a float, 1e40 here
+    e = [3, 10**20, 7, 1]
+    got = h_from_e_det(e)
+    assert got == h_from_e_conv(e)[-1] == 9999999999999999997300000000000000000122
+    assert type(got) is int
+
+
+def expected_det_type(e):
+    return Fraction if any(isinstance(x, Fraction) for x in e) else int
+
+
+# entries in {-2..2}/{1..3}, zeros and ints included: pivots hit 0 and
+# determinants vanish
+st_small_entries = st.lists(
+    st.one_of(st.integers(-2, 2), st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))),
+    min_size=1, max_size=7,
+)
+
+
+@given(st_small_entries)
+@example([Fraction(0), Fraction(0)])  # was the int 0 under dividing elimination
+@example([0, 0, 1])  # a zero pivot at each of the first two steps
+@example([Fraction(1), Fraction(1, 2), 0, Fraction(-1, 3)])  # ints among Fractions
+@settings(max_examples=150, deadline=None)  # the cofactor oracle costs k! at k = 7
+def test_det_matches_cofactor_oracle_on_small_entries(e):
+    got = h_from_e_det(e)
+    assert got == det_cofactor(toeplitz_oracle(e))
+    assert type(got) is expected_det_type(e)
+
+
+@given(st.integers(1, 20), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_det_matches_conv_on_random_rationals(k, seed):
+    rng = seeded_rng(seed, "det-conv")
+    e = [random_rational(rng) for _ in range(k)]
+    got = h_from_e_det(e)
+    assert got == h_from_e_conv(e)[-1]
+    assert type(got) is Fraction
+
+
+@given(st.one_of(st.lists(st.integers(-3, 3), min_size=1, max_size=20),
+                 st.lists(st.integers(-10**20, 10**20), min_size=1, max_size=20)))
+@settings(max_examples=100, deadline=None)
+def test_det_matches_conv_on_ints(e):
+    got = h_from_e_det(e)
+    assert got == h_from_e_conv(e)[-1]
+    assert type(got) is int
 
 
 def test_e_from_h_det_examples():

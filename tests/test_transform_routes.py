@@ -74,9 +74,14 @@ def test_transform_matches_enumeration_on_pair_rings(k):
 def test_conv_matches_determinant_on_pair_rings(k):
     for label, (e, h) in _pair3_and_pair5_terms(k):
         for values in (e, h):
-            # the determinant divides, so Polynomial entries go in as RationalFunctions
-            field = [RationalFunction(v) if isinstance(v, Polynomial) else v for v in values]
+            # the determinant divides nothing, so it runs in the terms' own ring
             conv = h_from_e_conv(values)
-            assert [RationalFunction(c) if isinstance(c, Polynomial) else c for c in conv] == [
-                h_from_e_det(field[:m]) for m in range(1, k + 1)
-            ], (label, k)
+            dets = [h_from_e_det(values[:m]) for m in range(1, k + 1)]
+            assert conv == dets, (label, k)
+            assert {type(d) for d in dets} == {type(values[-1])}, (label, k)
+            if isinstance(values[-1], Polynomial):
+                # and Polynomial terms as RationalFunctions give the same values
+                field = [RationalFunction(v) for v in values]
+                assert [RationalFunction(c) for c in conv] == [
+                    h_from_e_det(field[:m]) for m in range(1, k + 1)
+                ], (label, k)
