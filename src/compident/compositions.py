@@ -19,25 +19,26 @@ one loop for every ring.  On Fraction terms that loop runs graded, in ints:
 with den(term(i)) | s**i (graded_scale), b_i = term(i) s**i and
 U(m) = s**m T(m) follow T's recurrence with no gcd.  Past
 k * bits(s) = 4096 those ints outgrow the reduced Fractions, so it stays on
-Fractions there.  composition_transform, which needs T(k) alone, hands
-terms all of one type with a composition_transform of its own to it:
-Polynomial and symfun.QGraded run the recurrence packed into ints at
-q = 2**w (poly.packed_transform) and unpack T(k) once.
-Two independent routes check it: symfun's Toeplitz determinant, and the
-literal enumeration (transform_by_enumeration).  The enumeration forms the
-product of every one of the 2**(k-1) compositions on its own, from the
+Fractions there.  composition_prefix gives T(1)..T(k) and hands terms all
+of one type with a transform_prefix of its own to it: Polynomial and
+symfun.QGraded run the recurrence packed into ints at q = 2**w
+(poly.packed_transform) and unpack each T(m) once; composition_transform
+keeps T(k).  Two independent routes check it: symfun's Toeplitz
+determinant, and the literal enumeration (enumerated_prefix).  Every
+composition of every n <= k is a prefix of one of k, so one walk over the
+compositions of k forms each of their products on its own, from the
 product of its prefix one part shorter (2**k - k - 1 products in all), and
-adds it into a bucket S_r by its part count r (part_count_sums;
-inner_sum_positive walks only the compositions with exactly r parts).  A
-prefix that leaves _BATCH or more units branches depth-first; the prefixes
-below it that leave fewer go level by level, one list per remainder,
-extended a part at a time by map(mul, ...) and closed by one sum per list.
-So no list outgrows one subtree of 2**_BATCH compositions: on 41-bit int
-terms at k = 18 the walk's allocations peak near 0.2 MB.  Fraction terms
-walk as integer numerators over the lcm L of their denominators, and
-transform_by_enumeration adds the signed buckets over L**k as ints and
-normalises once.  Each bucket starts from its first product, not from the
-int 0, so the walk runs on any ring (QGraded elements too).
+adds it into a bucket S_(n,r) by its sum n and part count r
+(part_count_sums; inner_sum_positive walks only the compositions of k with
+exactly r parts).  A prefix that leaves _BATCH or more units branches
+depth-first; the prefixes below it that leave fewer go level by level, one
+list per remainder, summed, extended a part at a time by map(mul, ...) and
+closed by one sum per list.  So no list outgrows one subtree of 2**_BATCH
+compositions: on 41-bit int terms at k = 18 the walk's allocations peak
+near 0.2 MB.  Fraction terms walk as integer numerators over the lcm L of
+their denominators, and each T(n) adds its signed buckets over L**n as ints
+and normalises once.  Each bucket starts from its first product, not from
+the int 0, so the walk runs on any ring (QGraded elements too).
 """
 
 from __future__ import annotations
@@ -177,18 +178,23 @@ def composition_transform(terms: Callable[[int], Any], k: int) -> Any:
 
         sum_{r=1}^{k} (-1)**(k-r) sum_{k_1+...+k_r=k, k_i>=1} prod term(k_i)
 
-    Computed by the convolution ``transform_prefix`` in O(k**2) ring
-    operations, unless all terms have one type with a composition_transform
-    of its own (Polynomial, symfun.QGraded: packed ints).  Refuses k over
-    the cap (``enumeration_budget``) before reading any term.
+    The last entry of ``composition_prefix`` of term(1)..term(k).  Refuses
+    k over the cap (``enumeration_budget``) before reading any term.
     """
     if k < 1:
         raise ValueError(f"composition_transform: k must be >= 1, got {k}")
     check_budget("composition_transform", k)
-    values = [terms(i) for i in range(1, k + 1)]
+    return composition_prefix([terms(i) for i in range(1, k + 1)])[-1]
+
+
+def composition_prefix(values: Sequence[Any]) -> list[Any]:
+    """T(1)..T(k) of the terms values: the convolution ``transform_prefix``
+    in O(k**2) ring operations, unless all terms have one type with a
+    transform_prefix of its own (Polynomial, symfun.QGraded: packed ints).
+    """
     kinds = set(map(type, values))
-    own = getattr(kinds.pop(), "composition_transform", None) if len(kinds) == 1 else None
-    return transform_prefix(values)[-1] if own is None else own(values)
+    own = getattr(kinds.pop(), "transform_prefix", None) if len(kinds) == 1 else None
+    return transform_prefix(values) if own is None else own(values)
 
 
 def inner_sum_positive(terms: Callable[[int], Any], k: int, r: int) -> Any:
@@ -208,27 +214,40 @@ def inner_sum_positive(terms: Callable[[int], Any], k: int, r: int) -> Any:
 
 def transform_by_enumeration(terms: Callable[[int], Any], k: int) -> Any:
     """composition_transform's value as the literal signed sum
-    sum_r (-1)**(k-r) S_r over all 2**(k-1) compositions of k.
-
-    Shares no code with ``transform_prefix``, so it checks the recurrence
-    independently.  Refuses k over the cap (``enumeration_budget``) before
-    reading any term.
+    sum_r (-1)**(k-r) S_r over all 2**(k-1) compositions of k:
+    ``enumerated_prefix`` from T(k) on.  Refuses k over the cap
+    (``enumeration_budget``) before reading any term.
     """
     if k < 1:
         raise ValueError(f"transform_by_enumeration: k must be >= 1, got {k}")
     check_budget("transform_by_enumeration", k)
-    values, scale = _integer_scaled([terms(i) for i in range(1, k + 1)])
-    sums = _walk(values, k)
+    return enumerated_prefix([terms(i) for i in range(1, k + 1)], k)[0]
+
+
+def enumerated_prefix(values: Sequence[Any], low: int = 1) -> list[Any]:
+    """T(low)..T(k) of the terms values, each the literal signed sum
+    sum_r (-1)**(n-r) S_(n,r), from one walk over the compositions of k.
+
+    Shares no code with ``transform_prefix``, so it checks the recurrence
+    independently.  Reads no cap: the caller has built the terms.
+    """
+    values, scale = _integer_scaled(values)
+    return [_signed_sum(sums, scale) for sums in _walk(values, len(values), low)]
+
+
+def _signed_sum(sums: Sequence[Any], scale: int | None) -> Any:
+    """T(n) from its buckets [S_1, ..., S_n]: sum_r (-1)**(n-r) S_r."""
+    n = len(sums)
     if scale is not None:
-        # S_r = bucket_r / L**r, so the signed sum is one int over L**k:
-        # sum_r (-1)**(k-r) bucket_r L**(k-r), by Horner in -L
+        # S_r = bucket_r / L**r, so the signed sum is one int over L**n:
+        # sum_r (-1)**(n-r) bucket_r L**(n-r), by Horner in -L
         total = 0
         for s in sums:
             total = total * -scale + s
-        return Fraction(total, scale**k)
+        return Fraction(total, scale**n)
     total: Any = None
     for r, s in enumerate(sums, 1):
-        signed = s if (k - r) % 2 == 0 else -s
+        signed = s if (n - r) % 2 == 0 else -s
         total = signed if total is None else total + signed
     return total
 
@@ -244,7 +263,7 @@ def part_count_sums(values: Sequence[Any], k: int) -> list[Any]:
     every S_r has the type the products give.
     """
     values, scale = _integer_scaled(values)
-    sums = _walk(values, k)
+    sums = _walk(values, k, k)[0]
     return sums if scale is None else [Fraction(s, scale**r) for r, s in enumerate(sums, 1)]
 
 
@@ -258,36 +277,48 @@ def _integer_scaled(values: Sequence[Any]) -> tuple[Sequence[Any], int | None]:
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
-def _walk(values: Sequence[Any], k: int) -> list[Any]:
-    """[S_1, ..., S_k] over the compositions of k with parts at most
-    len(values), each composition's product formed once on its own and
-    added into the bucket of its part count.
+def _walk(values: Sequence[Any], k: int, low: int) -> list[list[Any]]:
+    """[[S_(n,1), ..., S_(n,n)] for n = low..k]: S_(n,r) sums the products
+    of the compositions of n with r parts, each part at most len(values).
+
+    Every such composition is a prefix of one of k, so one walk over the
+    compositions of k forms each product once, from that of its prefix one
+    part shorter, and adds it into the bucket of its sum and part count if
+    that sum is low or more: each bucket costs one addition per product.
 
     A prefix that leaves _BATCH or more units branches depth-first.  The
-    prefixes one part longer that leave fewer go to ``levels``, one list per
-    remainder, so every list stays inside the subtree of one depth-first
-    prefix (or of the empty one)."""
+    prefixes one part longer that leave fewer go to ``levels``, one list
+    per remainder, so every list stays inside the subtree of one
+    depth-first prefix (or of the empty one)."""
     largest = len(values)
     # a bucket holds None until its first product, which it starts from:
     # the int 0 would not add to every ring (symfun.QGraded is a tuple)
-    sums: list[Any] = [None] * (k + 1)
+    sums: list[list[Any]] = [[None] * (n + 1) for n in range(k + 1)]
+
+    def add(n: int, r: int, total: Any) -> None:
+        held = sums[n][r]
+        sums[n][r] = total if held is None else held + total
 
     def levels(count: int, lists: list[list[Any]]) -> None:
         # lists[m] holds the products of the count-part prefixes that leave
-        # m units; each pass closes them all and extends them by one part
+        # m units; each pass adds them all up, closes them, and extends them
+        # by one part
         while len(lists) > 1:
             deeper: list[list[Any]] = [[] for _ in range(len(lists) - 1)]
-            closed = sums[count + 1]
+            closed = sums[k][count + 1]
             for m, prefixes in enumerate(lists):
                 if not prefixes:
                     continue
                 lists[m] = []  # free each list once it is read
+                if k - m >= low:
+                    each = iter(prefixes)
+                    add(k - m, count, sum(each, next(each)))
                 if m <= largest:
                     products = map(mul, prefixes, repeat(values[m - 1]))
                     closed = sum(products, next(products) if closed is None else closed)
                 for part in range(1, min(m, largest + 1)):
                     deeper[m - part] += map(mul, prefixes, repeat(values[part - 1]))
-            sums[count + 1] = closed
+            sums[k][count + 1] = closed
             lists = deeper
             count += 1
 
@@ -298,18 +329,18 @@ def _walk(values: Sequence[Any], k: int) -> list[Any]:
         for part in range(1, min(remaining, largest + 1)):
             product = values[part - 1] if prefix is None else prefix * values[part - 1]
             if remaining - part >= _BATCH:
+                if k - remaining + part >= low:
+                    add(k - remaining + part, count + 1, product)
                 descend(count + 1, remaining - part, product)
             else:
                 batch[remaining - part].append(product)
         if remaining <= largest:
             last = values[remaining - 1]
-            closed = last if prefix is None else prefix * last
-            held = sums[count + 1]
-            sums[count + 1] = closed if held is None else held + closed
+            add(k, count + 1, last if prefix is None else prefix * last)
         levels(count + 1, batch)
 
     descend(0, k, None)
-    return [0 if s is None else s for s in sums[1:]]
+    return [[0 if s is None else s for s in row[1:]] for row in sums[low:]]
 
 
 def _exact_walk(values: Sequence[Any], k: int, r: int) -> Any:

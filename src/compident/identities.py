@@ -7,25 +7,29 @@ Each entry is made by one ``_register`` call from its statement, ring, an
 ordered dict of each parameter's lower bound (which gives its params, domain
 text and domain predicate, unless the domain relates two parameters), its
 modes, default verification grids, and a pure evaluator
-``(params, rng) -> (lhs, rhs)`` that produces both sides exactly.
-eq5, eq42 and the pair entries evaluate through one function,
-``_pair_evaluator(terms_id, direction)``: eq5 and eq42 are the two
-directions of symfun's binomial pair.  The pair entries come from one
-table, ``_PAIRS``, with a row per (e, h) pair: its pair_terms id, ring,
-e_k and h_k statements, the rationals (a, b) it draws per sample, and its
-integer parameters' spans.  Both directions are registered from the row,
-and the CLI asks ``pair_rationals`` which bindings an explicit --a/--b pins.
+``(params, rng) -> (lhs, rhs)`` that produces both sides exactly.  The
+thirteen transform suites register a ``_Span`` instead: the sides of every
+k up to a top for one binding of their other params, from one run of
+routes that form every prefix T(1..top) on their way.  eq5, eq42 and the
+pair entries run one, ``_pair_span(terms_id, direction)``: eq5 and eq42
+are the two directions of symfun's binomial pair.  The pair entries come
+from one table, ``_PAIRS``, with a row per (e, h) pair: its pair_terms id,
+ring, e_k and h_k statements, the rationals (a, b) it draws per sample, and
+its integer parameters' spans.  Both directions are registered from the
+row, and the CLI asks ``pair_rationals`` which bindings an explicit
+--a/--b pins.
 
 ``verify_case`` is the one path from a binding to a verdict.  For an
 identity with a ``sample`` parameter it opens one stream,
 ``seeded_rng(seed, stream, sample)``: the pair's row label (so _eh and _he
 share their draws) or "lemma7".  It draws the pair rationals from that
 stream, binds them into the params, and hands the evaluator the same
-stream.  It then compares the sides and serializes the lhs; equal sides
-are serialized once, since every value has one canonical form.  The q_exp
-and q_cauchy pairs run the transform on symfun's graded terms (numerators
-over phi_k), so serializing reduces to a RationalFunction once per passing
-case.
+stream.  A span runs up to the case's own k, unless verify_range hands in
+the sides it ran once for the binding.  verify_case then compares the sides
+and serializes the lhs; equal sides are serialized once, since every value
+has one canonical form.  The q_exp and q_cauchy pairs run the transform on
+symfun's graded terms (numerators over phi_k), so serializing reduces to a
+RationalFunction once per passing case.
 
 Verification is pointwise (parameters substituted, exact values compared) or
 coefficientwise as polynomial identities in n for eq13, eq29, eq47 (those
@@ -50,9 +54,11 @@ from fractions import Fraction
 from itertools import product as cartesian_product
 from math import comb, factorial
 from random import Random
-from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .compositions import check_budget, composition_transform, transform_by_enumeration
+# composition_transform and h_from_e_det are read by name by perfbench/tracer.py
+from .compositions import (check_budget, composition_prefix, composition_transform,
+                           enumerated_prefix, enumeration_budget)
 from .exact_arith import DomainError, binomial, fraction_sum
 from .poly import Polynomial, RationalFunction, falling_sum, poly_binomial, poly_to_json
 from .stirling import check_eq18, check_eq19, check_eq31, check_eq41, stirling1
@@ -63,6 +69,7 @@ from .symfun import (
     graded_pair_terms,
     h_from_e_conv,
     h_from_e_det,
+    h_prefix_from_e_det,
     pair_terms,
     random_rational,
     seeded_rng,
@@ -141,6 +148,18 @@ class SuiteReport:
 
 _Sides = tuple[Any, Any]
 _Evaluator = Callable[[Mapping[str, Any], Random | None], _Sides]
+
+
+class _Span(NamedTuple):
+    """The evaluator of a transform suite: ``sides(params, rng, low, top)``
+    gives the (lhs, rhs) of k = low..top for one binding of the other
+    params, from one run of its routes up to top.  ``operation`` names the
+    route that refuses a k over the cap."""
+
+    operation: str
+    sides: Callable[[Mapping[str, Any], Random | None, int, int], list[_Sides]]
+
+
 _RangeDict = dict[str, tuple[int, int]]
 
 
@@ -153,7 +172,7 @@ def _n_optional(modes: Sequence[str]) -> bool:
 class _Registration:
     descriptor: IdentityDescriptor
     valid: Callable[[Mapping[str, int]], bool]
-    evaluate: _Evaluator
+    evaluate: _Evaluator | _Span
     grids: tuple[_RangeDict, ...]
     rationals: tuple[str, ...]  # pair rationals drawn per sample
     stream: str  # seeded_rng label of each sample's stream
@@ -172,7 +191,7 @@ def _register(
     ring: str,
     lower: Mapping[str, int],
     modes: Sequence[str],
-    evaluate: _Evaluator,
+    evaluate: _Evaluator | _Span,
     *grids: _RangeDict,
     rationals: tuple[str, ...] = (),
     stream: str = "",
@@ -185,9 +204,10 @@ def _register(
     the descriptor's params and, unless ``domain`` and ``valid`` are passed
     for a domain that relates two parameters, the domain text and the
     predicate.  ``evaluate(params, rng)`` returns the exact (lhs, rhs) of
-    one binding.  ``rationals`` names the pair rationals that verify_case
-    draws for each sample from ``seeded_rng(seed, stream, sample)`` and
-    binds into those params; the evaluator gets the same stream as ``rng``.
+    one binding, or is a ``_Span`` over k.  ``rationals`` names the pair
+    rationals that verify_case draws for each sample from
+    ``seeded_rng(seed, stream, sample)`` and binds into those params; the
+    evaluator gets the same stream as ``rng``.
     """
     if valid is None:
         domain = ", ".join(f"{name} >= {lo}" for name, lo in lower.items())
@@ -336,34 +356,30 @@ def _eval_eq47(p: Mapping[str, Any], rng: Random | None) -> _Sides:
     return lhs, (-1) ** k * _binom(n, k)
 
 
-def _eval_lemma7(p: Mapping[str, Any], rng: Random | None) -> _Sides:
-    k = p["k"]
-    check_budget("transform_by_enumeration", k)  # before any route runs
-    e_seq = [random_rational(rng) for _ in range(k)]
+def _lemma7_sides(
+    p: Mapping[str, Any], rng: Random | None, low: int, top: int
+) -> list[_Sides]:
+    # e_1..e_k is the first k draws of the stream, so one draw of top serves every k
+    e_seq = [random_rational(rng) for _ in range(top)]
     h_seq = h_from_e_conv(e_seq)
-    det_h = h_from_e_det(e_seq)
-    # enumerated, so independent of the convolution route
-    transform_h = transform_by_enumeration(lambda i: e_seq[i - 1], k)
-    recovered_e = composition_transform(lambda i: h_seq[i - 1], k)
-    lhs = (det_h, transform_h, recovered_e)
-    rhs = (h_seq[-1], h_seq[-1], e_seq[-1])
-    return lhs, rhs
+    # enumerated, so independent of the convolution route; the walk adds up
+    # only the buckets of k >= low
+    routes = zip(h_prefix_from_e_det(e_seq)[low - 1:], enumerated_prefix(e_seq, low),
+                 composition_prefix(h_seq)[low - 1:])
+    return [(lhs, (h, h, e)) for lhs, h, e in zip(routes, h_seq[low - 1:], e_seq[low - 1:])]
 
 
-def _pair_evaluator(terms_id: str, direction: str) -> _Evaluator:
+def _pair_span(terms_id: str, direction: str) -> _Span:
     # "eh" transforms e_1..e_k against h_k, "he" the reverse.  p holds the drawn
     # rationals; graded terms are reduced only when verify_case serializes them.
-    # Both term builders are read from the module globals at each call, and
-    # neither runs on a k over the cap.
-    def evaluate(p: Mapping[str, Any], rng: Random | None) -> _Sides:
-        k = p["k"]
-        check_budget("composition_transform", k)
+    # Both term builders are read from the module globals at each call.
+    def sides(p: Mapping[str, Any], rng: Random | None, low: int, top: int) -> list[_Sides]:
         terms = graded_pair_terms if terms_id in GRADED_PAIR_IDS else pair_terms
-        e_seq, h_seq = terms(terms_id, p, k)
+        e_seq, h_seq = terms(terms_id, p, top)
         source, target = (e_seq, h_seq) if direction == "eh" else (h_seq, e_seq)
-        return composition_transform(lambda i: source[i - 1], k), target[k - 1]
+        return list(zip(composition_prefix(source), target))[low - 1:]
 
-    return evaluate
+    return _Span("composition_transform", sides)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +394,7 @@ _register(
     "integer",
     {"k": 1, "n": 0},
     ("pointwise",),
-    _pair_evaluator("binomial", "eh"),
+    _pair_span("binomial", "eh"),
     {"k": (1, 10), "n": (0, 10)},
 )
 
@@ -503,7 +519,7 @@ _register(
     "integer",
     {"k": 1, "n": 1},
     ("pointwise",),
-    _pair_evaluator("binomial", "he"),
+    _pair_span("binomial", "he"),
     {"k": (1, 10), "n": (1, 10)},
 )
 
@@ -523,7 +539,7 @@ _register(
     "rational",
     {"sample": 0, "k": 1},
     ("pointwise",),
-    _eval_lemma7,
+    _Span("transform_by_enumeration", _lemma7_sides),
     {"sample": (0, 19), "k": (1, 8)},
     stream="lemma7",
 )
@@ -569,7 +585,7 @@ for _pair in _PAIRS:
             _pair.ring,
             _lower,
             ("pointwise",),
-            _pair_evaluator(_pair.terms_id, _direction),
+            _pair_span(_pair.terms_id, _direction),
             _pair.spans,
             rationals=_pair.rationals,
             stream=_pair.label,
@@ -623,30 +639,12 @@ def _check_params(reg: _Registration, params: Mapping[str, int]) -> dict[str, in
     return cleaned
 
 
-def verify_case(
-    identity_id: str,
-    params: Mapping[str, int],
-    *,
-    seed: int = DEFAULT_SEED,
-    a: Fraction | None = None,
-    b: Fraction | None = None,
-) -> CaseReport:
-    """Evaluate both sides exactly for one parameter binding.
-
-    An identity with a ``sample`` parameter gets one stream,
-    ``seeded_rng(seed, stream, sample)``.  Its pair rationals are drawn
-    from it in order, each redrawn while it equals one already bound;
-    ``a`` and ``b`` pin the ones they name instead.  The evaluator gets the
-    params with the rationals bound, and the same stream.  Equal sides are
-    serialized once, from the lhs.  A transform over k above the
-    COMPIDENT_BUDGET cap raises BudgetExceededError.
-    """
-    reg = _registration(identity_id)
-    cleaned = _check_params(reg, params)
-    if not reg.valid(cleaned):
-        raise DomainError(
-            f"{identity_id}: parameters {dict(cleaned)} outside domain ({reg.descriptor.domain})"
-        )
+def _bind(
+    reg: _Registration, cleaned: Mapping[str, int], seed: int,
+    a: Fraction | None, b: Fraction | None,
+) -> tuple[dict[str, Any], Random | None]:
+    # the params in their documented order with the pair rationals bound, and
+    # the sample's stream after their draws
     bound: dict[str, Any] = {
         name: cleaned[name] for name in reg.descriptor.params if name in cleaned
     }
@@ -661,7 +659,46 @@ def verify_case(
                 value = random_rational(rng)
         bound[name] = value
         drawn.append(value)
-    lhs, rhs = reg.evaluate(bound, rng)
+    return bound, rng
+
+
+def verify_case(
+    identity_id: str,
+    params: Mapping[str, int],
+    *,
+    seed: int = DEFAULT_SEED,
+    a: Fraction | None = None,
+    b: Fraction | None = None,
+    _sides: _Sides | None = None,
+) -> CaseReport:
+    """Evaluate both sides exactly for one parameter binding.
+
+    An identity with a ``sample`` parameter gets one stream,
+    ``seeded_rng(seed, stream, sample)``.  Its pair rationals are drawn
+    from it in order, each redrawn while it equals one already bound;
+    ``a`` and ``b`` pin the ones they name instead.  The evaluator gets the
+    params with the rationals bound, and the same stream; a transform
+    suite's span runs from k to k, unless verify_range hands in the sides
+    it ran for the binding.  Equal sides are serialized once, from the
+    lhs.  A transform over k above the COMPIDENT_BUDGET cap raises
+    BudgetExceededError.
+    """
+    reg = _registration(identity_id)
+    cleaned = _check_params(reg, params)
+    if not reg.valid(cleaned):
+        raise DomainError(
+            f"{identity_id}: parameters {dict(cleaned)} outside domain ({reg.descriptor.domain})"
+        )
+    bound, rng = _bind(reg, cleaned, seed, a, b)
+    evaluate = reg.evaluate
+    if _sides is None:
+        if isinstance(evaluate, _Span):
+            k = bound["k"]
+            check_budget(evaluate.operation, k)  # before any term is built
+            _sides = evaluate.sides(bound, rng, k, k)[0]
+        else:
+            _sides = evaluate(bound, rng)
+    lhs, rhs = _sides
     passed = lhs == rhs
     lhs_text = _serialize_value(lhs)
     return CaseReport(
@@ -703,6 +740,11 @@ def _case_grid(
     return (candidate for candidate in candidates if reg.valid(candidate))
 
 
+def _binding(params: Mapping[str, int]) -> tuple[int, ...]:
+    # a case's params other than k: the binding a transform suite's span serves
+    return tuple(value for name, value in params.items() if name != "k")
+
+
 def verify_range(
     identity_id: str,
     ranges: Mapping[str, tuple[int, int]] | Sequence[Mapping[str, tuple[int, int]]] | None = None,
@@ -725,6 +767,13 @@ def verify_range(
     each case's report is folded into the counts as it returns, and only
     the first MAX_REPORTED_FAILURES failing reports are kept, so no passing
     report outlives its case.
+
+    A transform suite runs its span once per binding (the params other
+    than k), from the grids' least k to their largest, or to the
+    COMPIDENT_BUDGET cap if that is lower; the cap is read once.  It keeps
+    one list of sides per binding until that binding's last case, and each
+    case reads its entry.  A case over the cap runs alone and is refused as
+    it would be on its own.
     """
     reg = _registration(identity_id)
     if ranges is None:
@@ -735,12 +784,32 @@ def verify_range(
         range_dicts = (ranges,)
     else:
         range_dicts = tuple(ranges)
-    cases = _case_grid(reg, range_dicts)
+    cases: Iterable[dict[str, int]] = _case_grid(reg, range_dicts)
     start = time.perf_counter_ns()
+    span = reg.evaluate if isinstance(reg.evaluate, _Span) else None
+    low = top = 0  # the k of each binding's sides: none without a span
+    if span is not None:
+        cases = list(cases)
+        last = {_binding(params): i for i, params in enumerate(cases)}
+        ks = [params["k"] for params in cases]
+        if ks:
+            # from the least k to the largest, or to the cap: a case over it
+            # runs alone and is refused as it would be
+            low, top = min(ks), min(max(ks), enumeration_budget())
+    held: dict[tuple[int, ...], list[_Sides]] = {}
     total = failed = 0
     first_failures: list[CaseReport] = []
-    for params in cases:
-        report = verify_case(identity_id, params, seed=seed, a=a, b=b)
+    for i, params in enumerate(cases):
+        sides = None
+        if span is not None and params["k"] <= top:
+            key = _binding(params)
+            if key not in held:
+                bound, rng = _bind(reg, params, seed, a, b)
+                held[key] = span.sides(bound, rng, low, top)
+            sides = held[key][params["k"] - low]
+            if last[key] == i:
+                del held[key]
+        report = verify_case(identity_id, params, seed=seed, a=a, b=b, _sides=sides)
         total += 1
         if not report.passed:
             failed += 1

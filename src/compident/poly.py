@@ -19,9 +19,10 @@ loop of Polynomial products.  ``poly_binomial`` is that product over k!.
 the rest of the run from their neighbours, adds the rows of its raw terms
 w (u x + c)_k scaled into one int row and normalises the sum once.
 
-``packed_transform`` runs the composition transform on plain ints at
-q = 2**w (Kronecker substitution): with unit weights for Polynomial terms,
-and with q-binomial ones for the numerators of symfun.QGraded terms.
+``packed_transform`` runs the composition transform, every prefix of it,
+on plain ints at q = 2**w (Kronecker substitution): with unit weights for
+Polynomial terms, and with q-binomial ones for the numerators of
+symfun.QGraded terms.
 """
 
 from __future__ import annotations
@@ -279,8 +280,8 @@ class Polynomial:
         return _make(list(self._num), lead)
 
     @staticmethod
-    def composition_transform(values: Sequence["Polynomial"]) -> "Polynomial":
-        """T(k) of the terms v_1..v_k: ``packed_transform`` at unit weights."""
+    def transform_prefix(values: Sequence["Polynomial"]) -> list["Polynomial"]:
+        """T(1)..T(k) of the terms v_1..v_k: ``packed_transform`` at unit weights."""
         return packed_transform(values, lambda m, i, size: 1)
 
     def __repr__(self) -> str:
@@ -334,17 +335,18 @@ def divide_out(p: Polynomial, factor: Polynomial, times: int) -> tuple[Polynomia
 
 
 def packed_transform(nums: Sequence[Polynomial],
-                     weight: Callable[[int, int, int], int]) -> Polynomial:
-    """U(k) / s**k for U(0) = 1, U(m) = sum (-1)**(i-1) b_i g(m, i) U(m-i):
-    T(k) of the terms nums when every weight g(m, i) is 1.
+                     weight: Callable[[int, int, int], int]) -> list[Polynomial]:
+    """U(m) / s**m for m = 1..k, where U(0) = 1 and
+    U(m) = sum (-1)**(i-1) b_i g(m, i) U(m-i): T(1)..T(k) of the terms nums
+    when every weight g(m, i) is 1.
 
     The b_i = nums[i-1] s**i are int rows (s from ``graded_scale``), and
     each g(m, i) is an int row >= 0 that weight(m, i, size) gives at
     q = 2**(8 size): at size 0, q = 1, that is its l1 norm.  Each b_i is
     evaluated once at X = 2**(8 size), the recurrence runs on ints, and
-    U(k) is unpacked once into its balanced base-X digits.  Those are
+    each U(m) is unpacked once into its balanced base-X digits.  Those are
     exact: U(m)'s coefficients are at most L(m), L(0) = 1 and
-    L(m) = sum l1(b_i) l1(g(m, i)) L(m-i), and X/2 > L(k).
+    L(m) = sum l1(b_i) l1(g(m, i)) L(m-i), and X/2 > max L(m).
     """
     k = len(nums)
     scale = graded_scale(p._den for p in nums)
@@ -355,7 +357,7 @@ def packed_transform(nums: Sequence[Polynomial],
     for m in range(1, k + 1):
         bounds.append(sum(n * h * b for n, h, b in zip(norms, heights[m], reversed(bounds))))
     # X/2 also exceeds every coefficient packed
-    size = (max(bounds[k], *norms, *chain.from_iterable(heights)).bit_length() + 8) // 8
+    size = (max(*bounds, *norms, *chain.from_iterable(heights)).bit_length() + 8) // 8
     # (-1)**(i-1) b_i at X, packed once: each coefficient biased by X/2 into [0, X)
     half = 1 << (8 * size - 1)
     signed = [_pack([(c if i % 2 else -c) + half for c in row], size) - _bias(size, len(row))
@@ -364,7 +366,7 @@ def packed_transform(nums: Sequence[Polynomial],
     for m in range(1, k + 1):
         us.append(sum(b * weight(m, i, size) * u
                       for i, (b, u) in enumerate(zip(signed, reversed(us)), 1)))
-    return _make(_unpack(us[k], size), scale**k)
+    return [_make(_unpack(u, size), scale**m) for m, u in enumerate(us[1:], 1)]
 
 
 def _pack(row: Sequence[int], size: int) -> int:

@@ -1,18 +1,19 @@
 """Elementary <-> complete symmetric-function conversion and pair catalog.
 
 Three routes turn a prefix e_1..e_k into h_k, and each is its own inverse:
-fed h_1..h_k, it gives e_k.  They are the convolution
-h_m = sum_{i=1}^{m} (-1)**(i-1) e_i h_{m-i} (h_from_e_conv, which is
-compositions.transform_prefix, the composition transform itself), the
-Toeplitz determinant with unit subdiagonal (h_from_e_det), and the
-enumeration of all 2**(k-1) compositions
-(compositions.transform_by_enumeration).  The determinant and the
-enumeration share no code with the convolution or with each other, so they
-are its independent checks.  The determinant runs on ints as well, but not
-on the convolution's: the convolution scales e_i by s**i (graded_scale) and
-sums products of h_{m-i}, while the determinant scales every term by the
-one lcm L of their denominators, keeps L on its subdiagonal, and
-eliminates fraction-free on one row of the matrix (_hessenberg_det).
+fed h_1..h_k, it gives e_k.  Each forms every h_m, m <= k, on its way.
+They are the convolution h_m = sum_{i=1}^{m} (-1)**(i-1) e_i h_{m-i}
+(h_from_e_conv, which is compositions.transform_prefix, the composition
+transform itself), the Toeplitz determinant with unit subdiagonal, whose
+leading blocks give h_m (h_prefix_from_e_det), and the enumeration of all
+2**(k-1) compositions of k (compositions.enumerated_prefix).  The
+determinant and the enumeration share no code with the convolution or with
+each other, so they are its independent checks.  The determinant runs on
+ints as well, but not on the convolution's: the convolution scales e_i by
+s**i (graded_scale) and sums products of h_{m-i}, while the determinant
+scales every term by the one lcm L of their denominators, keeps L on its
+subdiagonal, and eliminates fraction-free on one row of the matrix
+(_hessenberg_det).
 q-binomials are built on int coefficient lists by one linear pass per
 factor (gaussian_binomial).
 
@@ -40,10 +41,10 @@ ch. 3), the product of (i, N) and (j, M) is (i+j, N M qbinom(i+j, i)), and
 elements of one degree add and negate on their numerators.  Every summand
 of the transform's T(m) has degree m, so the transform of QGraded terms is
 a recurrence on the numerators, weighted by q-binomials, with no gcd.
-QGraded.composition_transform runs it on packed ints in
+QGraded.transform_prefix runs it on packed ints in
 poly.packed_transform, the kernel pair3's Polynomial terms run with unit
-weights.  (transform_prefix still multiplies QGraded and Polynomial terms
-one by one, as the slow path the tests compare against.)  reduced() gives
+weights.  (compositions.transform_prefix still multiplies QGraded and
+Polynomial terms one by one, as the slow path the tests compare against.)  reduced() gives
 the canonical RationalFunction once, at the end, without a gcd too:
 phi_m = (-1)^m prod_{d<=m} Phi_d^(m // d) over the cyclotomic polynomials
 Phi_d, which are monic and irreducible, so trial division of N by each
@@ -71,9 +72,10 @@ PAIR_IDS = ("binomial", "tree", "bernoulli", "q_binomial", "q_exp", "q_cauchy")
 GRADED_PAIR_IDS = ("q_exp", "q_cauchy")
 
 
-def _hessenberg_det(seq: Sequence[Any], one: Any) -> Any:
-    """det of the k x k matrix with seq[j - i] at (i, j) for j >= i, one on
-    the subdiagonal and 0 below it: fraction-free (Bareiss) elimination.
+def _hessenberg_det(seq: Sequence[Any], one: Any) -> list[Any]:
+    """[det_1, ..., det_k]: det_j of the leading j x j block of the k x k
+    matrix with seq[j - i] at (i, j) for j >= i, one on the subdiagonal and
+    0 below it, by fraction-free (Bareiss) elimination.
 
     The matrix is upper Hessenberg, so only the row just below the pivot p
     has an entry (one) in p's column.  Replacing that row, (one, seq...),
@@ -81,33 +83,44 @@ def _hessenberg_det(seq: Sequence[Any], one: Any) -> Any:
     by p, and expanding along the cleared column takes the factor p out
     again: Bareiss's exact division cancels, and the state is one row.  It
     is an identity of polynomials in the entries, so it holds at p = 0 too.
+    After j steps row[0] has read only seq[0..j], so it is det_(j+1).
     """
     row = seq
+    dets = [row[0]]
     for _ in range(len(seq) - 1):
         pivot = row[0]
         below = row[1:] if one == 1 else [one * y for y in row[1:]]
         row = [pivot * x - y for x, y in zip(seq, below)]
-    return row[0]
+        dets.append(row[0])
+    return dets
 
 
 def h_from_e_det(e_terms: Sequence[Any]) -> Any:
     """h_k as the k x k Toeplitz determinant in e_1..e_k, with 1 on the
-    subdiagonal and 0 below it.
+    subdiagonal and 0 below it: the last entry of ``h_prefix_from_e_det``.
 
     e and h play symmetric roles, so the same determinant in h_1..h_k
-    gives e_k: one call maps e to h and h to e.  Fraction terms are scaled
-    to ints by the lcm L of their denominators, with L on the subdiagonal,
-    and the result is that determinant over L**k.  Any other ring,
-    ints included, is eliminated as it is, with no division: int terms
-    give an exact int.
+    gives e_k: one call maps e to h and h to e.
+    """
+    return h_prefix_from_e_det(e_terms)[-1]
+
+
+def h_prefix_from_e_det(e_terms: Sequence[Any]) -> list[Any]:
+    """h_1..h_k as the determinants of the leading blocks of h_from_e_det's
+    matrix.
+
+    Fraction terms are scaled to ints by the lcm L of their denominators,
+    with L on the subdiagonal, and h_m is the m-th determinant over L**m.
+    Any other ring, ints included, is eliminated as it is, with no
+    division: int terms give exact ints.
     """
     if not e_terms:
         raise ValueError("h_from_e_det: need at least e_1")
     if (any(isinstance(x, Fraction) for x in e_terms)
             and all(isinstance(x, (int, Fraction)) for x in e_terms)):
         one = lcm(*(x.denominator for x in e_terms))
-        det = _hessenberg_det([x.numerator * (one // x.denominator) for x in e_terms], one)
-        return Fraction(det, one ** len(e_terms))
+        dets = _hessenberg_det([x.numerator * (one // x.denominator) for x in e_terms], one)
+        return [Fraction(det, one**m) for m, det in enumerate(dets, 1)]
     return _hessenberg_det(e_terms, 1)
 
 
@@ -289,13 +302,15 @@ class QGraded(NamedTuple):
         return QGraded(i + j, self.num * other.num * gaussian_binomial(i + j, i))
 
     @staticmethod
-    def composition_transform(values: Sequence["QGraded"]) -> "QGraded":
-        """T(k) of the terms v_i = (i, N_i), i = 1..k: ``packed_transform``
-        of the N_i with weights qbinom(m, i) gives num(T(k))."""
+    def transform_prefix(values: Sequence["QGraded"]) -> list["QGraded"]:
+        """T(1)..T(k) of the terms v_i = (i, N_i), i = 1..k:
+        ``packed_transform`` of the N_i with weights qbinom(m, i) gives
+        num(T(m))."""
         for i, v in enumerate(values, 1):
             if v.degree != i:
                 raise ArithmeticError(f"QGraded: term {i} of a transform has degree {v.degree}")
-        return QGraded(len(values), packed_transform([v.num for v in values], _qbinom_weight))
+        nums = packed_transform([v.num for v in values], _qbinom_weight)
+        return [QGraded(m, num) for m, num in enumerate(nums, 1)]
 
     def reduced(self) -> RationalFunction:
         """num / phi_degree as a canonical (coprime, monic-denominator)

@@ -209,6 +209,23 @@ def test_budget_refusal_names_only_the_env_var(argv):
     assert "budget=" not in result.stderr
 
 
+# A suite computes each binding's sides up to the least of its top k and the
+# cap, so the first case over the cap runs alone and is refused as it was
+# when every case ran alone: same stderr line, exit 2.
+@pytest.mark.parametrize("identity_id, span, operation", [
+    ("pair1_eh", "1..8", "composition_transform"),
+    ("lemma7_roundtrip", "3..9", "transform_by_enumeration"),
+])
+def test_a_span_over_the_cap_is_refused_at_its_first_case_over_it(identity_id, span, operation):
+    result = run_cli("verify", "--id", identity_id, "--k", span, env={"COMPIDENT_BUDGET": "5"})
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"compident: error: {operation}: k=6 is over the cap k<=5 "
+        "(set COMPIDENT_BUDGET to lift it)\n"
+    )
+
+
 _TEN_TO_120 = "1" + "0" * 120
 _DIGITS_4401 = "1" + "0" * 4400  # built without an int -> str conversion
 

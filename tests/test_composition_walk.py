@@ -3,8 +3,9 @@
 part_count_sums and transform_by_enumeration form the product of every
 composition of k once, from its prefix one part shorter: a prefix that
 leaves _BATCH (14) units or more branches depth-first, and the prefixes
-below it go level by level, one list per remainder.  They are checked
-against a test-local per-r reference that multiplies out each composition
+below it go level by level, one list per remainder.  Every prefix is a
+composition of some n < k, so the same walk gives enumerated_prefix every
+T(n).  They are checked against a test-local per-r reference that multiplies out each composition
 from enumerate_compositions, on int, Fraction, Polynomial and
 RationalFunction terms, on both sides of _BATCH, and on value lists shorter
 than k.  A counting ring pins the 2**k - k - 1 products, and tracemalloc
@@ -29,6 +30,7 @@ from hypothesis import Phase, given, settings, strategies as st
 from compident.compositions import (
     _BATCH,
     enumerate_compositions,
+    enumerated_prefix,
     inner_sum_positive,
     part_count_sums,
     transform_by_enumeration,
@@ -82,6 +84,10 @@ def check_walk(values):
     total = transform_by_enumeration(lambda i: values[i - 1], k)
     assert total == reference_transform(expected, k)
     assert type(total) is type(values[0])
+    # the same walk fills the buckets of every n < k on its way
+    prefix = enumerated_prefix(values)
+    assert prefix == [reference_transform(reference_sums(values, n), n) for n in range(1, k + 1)]
+    assert prefix[-1] == total
     for r in range(1, k + 1):
         assert inner_sum_positive(lambda i: values[i - 1], k, r) == expected[r - 1]
 

@@ -5,7 +5,10 @@ sides read the same value: a fault there changes both sides alike and the
 case still passes.  Each test below perturbs one fast path or shared
 primitive at one point and runs only the suites named for it.  A later
 change that lets both sides of one of these checks read the same fast path
-makes its test fail.
+makes its test fail.  The transform suites read every case of a binding
+from one list of prefixes T(1..k), so the rows on the transform routes
+perturb the 4th entry of that list, and one test has every span hand each
+case the lhs of the case before it.
 
 A wrong cyclotomic factor Phi_d is the exception: the q-pair verdicts
 compare numerators over one phi_m and never read a Phi_d.  Only the
@@ -13,6 +16,7 @@ serialized sides of a binding where factors cancel (b = -a) show it, and
 the build of a later Phi_n from it fails its exact division.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -38,6 +42,7 @@ STIRLING_SUITES = {"eq17": False, "eq18": False, "eq19": False, "eq31": False, "
 BERNOULLI_SUITES = {"pair2_eh": False, "pair2_he": False, "pair1_eh": True}
 X = Polynomial((0, 1))  # q in the q-binomials, x in the polynomial-mode binomials
 BOTH_WAYS = [f"pair{j}_{way}" for j in range(1, 6) for way in ("eh", "he")]
+TRANSFORM_SUITES = ["eq5", "eq42", "lemma7_roundtrip", *BOTH_WAYS]
 
 
 def bumped(hit, delta):
@@ -62,13 +67,28 @@ def wrong_three_term_sum(fraction_sum):
     return perturbed
 
 
+def bumped_fourth(delta):
+    # the perturbation that adds delta to the 4th entry of a prefix list T(1..k)
+    def perturb(function):
+        def perturbed(*args):
+            prefix = function(*args)
+            if len(prefix) >= 4:
+                prefix[3] = prefix[3] + delta
+            return prefix
+
+        return perturbed
+
+    return perturb
+
+
 def wrong_transform(transform):
-    # + 1 on the transform at k = 4, in the ring of its value
-    def perturbed(terms, k):
-        value = transform(terms, k)
-        if k != 4:
-            return value
-        return QGraded(4, value.num + 1) if isinstance(value, QGraded) else value + 1
+    # + 1 on the transform's 4th prefix T(4), in the ring of its value
+    def perturbed(values):
+        prefix = transform(values)
+        if len(prefix) >= 4:
+            value = prefix[3]
+            prefix[3] = QGraded(4, value.num + 1) if isinstance(value, QGraded) else value + 1
+        return prefix
 
     return perturbed
 
@@ -109,12 +129,12 @@ def flipped_e_factor(times_factors):
 
 
 def wrong_bucket(walk):
-    # + 1 on the walk's two-part bucket S_2 at k = 4 (1/L**2 on Fraction terms)
-    def perturbed(values, k):
-        sums = walk(values, k)
-        if k == 4:
-            sums[1] += 1
-        return sums
+    # + 1 on the two-part bucket S_(4,2) of the walk's 4th prefix (1/L**2 on Fraction terms)
+    def perturbed(values, k, low):
+        rows = walk(values, k, low)
+        if low <= 4 <= k:
+            rows[4 - low][1] += 1
+        return rows
 
     return perturbed
 
@@ -148,8 +168,8 @@ SHARED_PRIMITIVES = [
      {"eq13": False, "eq47": False, "eq29": True, "eq17": True}),
     (identities, "falling_sum", bumped(lambda terms, k, over: k == 3, X),
      dict.fromkeys(["eq13", "eq17", "eq29", "eq47"], False)),
-    (identities, "composition_transform", wrong_transform,
-     dict.fromkeys(["eq5", "eq42", "lemma7_roundtrip", *BOTH_WAYS], False)),
+    (identities, "composition_prefix", wrong_transform,
+     dict.fromkeys(TRANSFORM_SUITES, False)),
     # only Fraction terms run graded: pair1 and pair2, and lemma7's convolution
     (compositions, "_graded", wrong_graded_numerator, {
         **dict.fromkeys(["lemma7_roundtrip", *BOTH_WAYS[:4]], False),
@@ -159,15 +179,13 @@ SHARED_PRIMITIVES = [
     # pair2 build their Fraction terms with factorials
     (compositions, "_walk", wrong_bucket, only("lemma7_roundtrip")),
     # the determinant is lemma7's first route, and no other suite reads it:
-    # + 1 on the lcm-scaled determinant at k = 4
-    (symfun, "_hessenberg_det", bumped(lambda seq, one: len(seq) == 4, 1),
-     only("lemma7_roundtrip")),
+    # + 1 on the lcm-scaled determinant of the leading 4 x 4 block
+    (symfun, "_hessenberg_det", bumped_fourth(1), only("lemma7_roundtrip")),
     (symfun, "factorial", bumped(lambda i: i == 3, 1), only(*BOTH_WAYS[:4])),
     # pair3, pair4 and pair5 run the packed transform; its unpack reads no target
     (poly, "_unpack", dropped_top_digit, only(*BOTH_WAYS[4:])),
     # only pair3's terms are Polynomials: + q on the packed T(4) of the Polynomial route
-    (Polynomial, "composition_transform", bumped(lambda values: len(values) == 4, X),
-     only("pair3_eh", "pair3_he")),
+    (Polynomial, "transform_prefix", bumped_fourth(X), only("pair3_eh", "pair3_he")),
     (symfun, "_times_factors", flipped_e_factor, only(*PAIR_SUITES)),
 ]
 
@@ -307,4 +325,25 @@ def test_a_wrong_shared_primitive_fails_its_suites(
     owner, name, perturb, identity_id, passes, monkeypatch
 ):
     monkeypatch.setattr(owner, name, perturb(getattr(owner, name)))
+    assert verify_range(identity_id).passed is passes
+
+
+def served_late(span):
+    # the span serves case k >= 2 the lhs of k - 1 against its own rhs
+    def sides(params, rng, low, top):
+        run = span.sides(params, rng, 1, top)
+        late = [(lhs, rhs) for (lhs, _), (_, rhs) in zip(run[:1] + run, run)]
+        return late[low - 1:]
+
+    return span._replace(sides=sides)
+
+
+@pytest.mark.parametrize("identity_id, passes", sorted(only(*TRANSFORM_SUITES).items()))
+def test_a_span_that_serves_a_late_lhs_fails_the_transform_suites(
+    identity_id, passes, monkeypatch
+):
+    for registered, reg in list(identities._REGISTRY.items()):
+        if isinstance(reg.evaluate, identities._Span):
+            late = dataclasses.replace(reg, evaluate=served_late(reg.evaluate))
+            monkeypatch.setitem(identities._REGISTRY, registered, late)
     assert verify_range(identity_id).passed is passes

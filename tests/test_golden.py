@@ -11,7 +11,9 @@ nor the Fraction fallback of the transform's graded ints, so one case on
 each side of that switch is pinned as well, nor grids of the Rothe-Hagen sums
 above the defaults, so three of those are pinned too, nor pair3 above its
 default grid, so both of its directions at k, n <= 16 are pinned case by case,
-nor lemma7 above its default grid, so k = 15..16 is pinned too.
+nor lemma7 above its default grid, so k = 15..16 is pinned too, nor the
+transform suites over k-spans wider than their defaults, where one binding's
+cases read the most prefixes of one run, so six of those are pinned as well.
 """
 
 import hashlib
@@ -178,3 +180,30 @@ def test_lemma7_above_its_default_grid_matches_its_digest(capsys):
     assert main(argv) == 0
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == LEMMA7_K15_16
+
+
+# sha256 of the --format json stdout of transform suites over k-spans wider
+# than their default grids: recorded while every case computed its own
+# transform from k = 1
+WIDE_K_SPANS = {
+    ("lemma7_roundtrip", "--k 1..16"):
+        "99a4cc8fe5408688714b46df494b2c3d15baf8d9feb3b13f13b4a24e508b7f2a",
+    ("eq5", "--k 1..20 --n 0..20"):
+        "3f8cd6a36760d4cd02956e826dfd3b473b1af312a885bd31748feb948185feeb",
+    ("eq42", "--k 1..20 --n 1..20"):
+        "34fac440268dee74a5ed319183c94bc3d6a440aaeaa3716711258a2175132481",
+    ("pair1_he", "--k 1..20 --samples 3"):
+        "f44d3b47280c83fbe6990e40dc2af9fb08584548d61d88313256db797abb9cba",
+    ("pair5_eh", "--k 1..16 --samples 2"):
+        "91b79652f46a2dc19a45091b6b8e90c7657995d37550a6f544a442820f41346a",
+    ("pair4_he", "--k 1..16"):
+        "2dcff476a328433f4c9af5376043b7958e2f604cdb1282b34f0de146157aa6eb",
+}
+
+
+@pytest.mark.parametrize("identity_id, options", sorted(WIDE_K_SPANS))
+def test_transform_suites_over_wide_k_spans_match_their_digest(identity_id, options, capsys):
+    argv = ["verify", "--id", identity_id, *options.split(), "--format", "json"]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == WIDE_K_SPANS[identity_id, options]

@@ -125,7 +125,8 @@ def test_over_cap_request_is_refused_before_any_term_is_built(identity_id, monke
     def refuse(*args):
         raise AssertionError(f"{identity_id} built terms for a k over the cap")
 
-    for name in ("pair_terms", "graded_pair_terms", "h_from_e_conv", "h_from_e_det"):
+    for name in ("pair_terms", "graded_pair_terms", "h_from_e_conv", "h_from_e_det",
+                 "h_prefix_from_e_det", "enumerated_prefix", "composition_prefix"):
         monkeypatch.setattr(identities, name, refuse)
     params = {"k": 21, "n": 1, "sample": 0}
     names = get_descriptor(identity_id).params

@@ -2,12 +2,12 @@
 paths around it.
 
 composition_transform runs a list of Polynomial terms through
-Polynomial.composition_transform and one of QGraded terms through
-QGraded.composition_transform.  Both are poly.packed_transform: every row
-and every weight (1, or a q-binomial) is evaluated once at X = 2**w, the
-recurrence runs on CPython ints, and U(k) is unpacked once.  It is checked
-against the generic transform_prefix loop over Polynomial and QGraded
-products, and both against the literal enumeration of all 2**(k-1)
+Polynomial.transform_prefix and one of QGraded terms through
+QGraded.transform_prefix.  Both are poly.packed_transform: every row and
+every weight (1, or a q-binomial) is evaluated once at X = 2**w, the
+recurrence runs on CPython ints, and each U(m) is unpacked once.  Every
+T(m) it gives is checked against the generic transform_prefix loop over
+Polynomial and QGraded products, and both against the literal enumeration of all 2**(k-1)
 compositions (transform_by_enumeration), which shares no code with either.
 pair3 runs no Polynomial ring operation at all.  graded_pair_terms' int
 rows are checked against the running Polynomial product they replaced,
@@ -84,8 +84,9 @@ def test_packed_transform_matches_the_qgraded_loop(binding, k, direction):
     e, h = graded_pair_terms("q_cauchy", {"a": a, "b": b}, k)
     source, target = (e, h) if direction == "eh" else (h, e)
     packed = composition_transform(lambda i: source[i - 1], k)
-    assert packed == QGraded.composition_transform(source)
-    assert packed == transform_prefix(source)[-1] == target[-1]
+    prefix = QGraded.transform_prefix(source)
+    assert prefix == transform_prefix(source)
+    assert packed == prefix[-1] == target[-1]
 
 
 @pytest.mark.parametrize("direction", ["eh", "he"])
@@ -97,7 +98,8 @@ def test_packed_transform_at_k12_on_110_digit_bindings(binding, direction):
     a, b = binding
     e, h = graded_pair_terms("q_cauchy", {"a": a, "b": b}, 12)
     source, target = (e, h) if direction == "eh" else (h, e)
-    assert QGraded.composition_transform(source) == transform_prefix(source)[-1] == target[-1]
+    prefix = QGraded.transform_prefix(source)
+    assert prefix == transform_prefix(source) and prefix[-1] == target[-1]
 
 
 @pytest.mark.parametrize("direction", ["eh", "he"])
@@ -105,7 +107,8 @@ def test_packed_transform_at_k12_on_110_digit_bindings(binding, direction):
 def test_packed_q_exp_transform_matches_the_qgraded_loop(k, direction):
     e, h = graded_pair_terms("q_exp", {}, k)
     source, target = (e, h) if direction == "eh" else (h, e)
-    assert QGraded.composition_transform(source) == transform_prefix(source)[-1] == target[-1]
+    prefix = QGraded.transform_prefix(source)
+    assert prefix == transform_prefix(source) and prefix[-1] == target[-1]
 
 
 @pytest.mark.parametrize("direction", ["eh", "he"])
@@ -116,13 +119,13 @@ def test_the_enumeration_agrees_with_both_transforms_on_qgraded_terms(k, directi
         source = e if direction == "eh" else h
         enumerated = transform_by_enumeration(lambda i: source[i - 1], k)
         assert type(enumerated) is QGraded
-        assert enumerated == QGraded.composition_transform(source) == transform_prefix(source)[-1]
+        assert enumerated == QGraded.transform_prefix(source)[-1] == transform_prefix(source)[-1]
 
 
 def test_a_term_of_the_wrong_degree_is_refused():
     e, _ = graded_pair_terms("q_exp", {}, 3)
     with pytest.raises(ArithmeticError):
-        QGraded.composition_transform([e[0], e[2]])
+        QGraded.transform_prefix([e[0], e[2]])
 
 
 # coefficients: small and 100-digit ints of both signs, and Fractions over
@@ -142,7 +145,8 @@ poly_terms = st.lists(poly_coeffs, max_size=4).map(Polynomial)
 def test_packed_polynomial_transform_matches_the_loop_and_the_enumeration(values):
     k = len(values)
     packed = composition_transform(lambda i: values[i - 1], k)
-    assert packed == Polynomial.composition_transform(values) == transform_prefix(values)[-1]
+    prefix = Polynomial.transform_prefix(values)
+    assert prefix == transform_prefix(values) and packed == prefix[-1]
     assert packed == transform_by_enumeration(lambda i: values[i - 1], k)
 
 
@@ -163,7 +167,9 @@ def test_packed_pair3_transform_recovers_its_target(n, k, direction):
 ])
 def test_a_list_mixing_polynomials_and_ints_runs_the_generic_loop(values, monkeypatch):
     packed = []
-    monkeypatch.setattr(Polynomial, "composition_transform", staticmethod(packed.append))
+    own = Polynomial.transform_prefix
+    monkeypatch.setattr(Polynomial, "transform_prefix",
+                        staticmethod(lambda terms: packed.append(terms) or own(terms)))
     got = composition_transform(lambda i: values[i - 1], 3)
     assert packed == [] and got == transform_prefix(values)[-1]
     as_polynomials = [v if isinstance(v, Polynomial) else Polynomial((v,)) for v in values]

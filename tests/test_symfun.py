@@ -17,6 +17,7 @@ from compident.symfun import (
     gaussian_binomial,
     h_from_e_conv,
     h_from_e_det,
+    h_prefix_from_e_det,
     pair_terms,
     phi,
     random_rational,
@@ -122,6 +123,22 @@ def test_det_matches_conv_on_ints(e):
     got = h_from_e_det(e)
     assert got == h_from_e_conv(e)[-1]
     assert type(got) is int
+
+
+@given(st_small_entries)
+@settings(max_examples=100, deadline=None)  # the cofactor oracle costs k! at k = 7
+def test_det_prefix_reads_the_determinant_of_every_leading_block(e):
+    prefix = h_prefix_from_e_det(e)
+    assert prefix == [det_cofactor(toeplitz_oracle(e[:m])) for m in range(1, len(e) + 1)]
+    assert prefix[-1] == h_from_e_det(e)
+
+
+@given(st.integers(1, 20), st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_det_prefix_matches_conv_on_random_rationals(k, seed):
+    rng = seeded_rng(seed, "det-prefix")
+    e = [random_rational(rng) for _ in range(k)]
+    assert h_prefix_from_e_det(e) == h_from_e_conv(e)
 
 
 def test_e_from_h_det_examples():
