@@ -54,7 +54,7 @@ from fractions import Fraction
 from itertools import product as cartesian_product
 from math import comb, factorial
 from random import Random
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 # composition_transform and h_from_e_det are read by name by perfbench/tracer.py
 from .compositions import (check_budget, composition_prefix, composition_transform,
@@ -76,6 +76,10 @@ from .symfun import (
 )
 
 MAX_REPORTED_FAILURES = 10
+
+# verify_range keeps the sides of at most this many bindings at once: a grid
+# in k-major order keeps every binding's until k reaches its top
+_HELD_SPANS = 32
 
 DEFAULT_SAMPLES = 5
 
@@ -769,11 +773,12 @@ def verify_range(
     report outlives its case.
 
     A transform suite runs its span once per binding (the params other
-    than k), from the grids' least k to their largest, or to the
-    COMPIDENT_BUDGET cap if that is lower; the cap is read once.  It keeps
-    one list of sides per binding until that binding's last case, and each
-    case reads its entry.  A case over the cap runs alone and is refused as
-    it would be on its own.
+    than k), from the binding's first k up to the grids' largest k, or to
+    the COMPIDENT_BUDGET cap if that is lower; the cap is read once.  It
+    keeps one list of sides per binding until the binding's case at that
+    top k, and each case reads its entry; with _HELD_SPANS lists kept, a
+    new binding's cases run alone, as do cases over the cap, which are
+    refused as they would be on their own.
     """
     reg = _registration(identity_id)
     if ranges is None:
@@ -784,31 +789,28 @@ def verify_range(
         range_dicts = (ranges,)
     else:
         range_dicts = tuple(ranges)
-    cases: Iterable[dict[str, int]] = _case_grid(reg, range_dicts)
+    cases = _case_grid(reg, range_dicts)
     start = time.perf_counter_ns()
     span = reg.evaluate if isinstance(reg.evaluate, _Span) else None
-    low = top = 0  # the k of each binding's sides: none without a span
     if span is not None:
-        cases = list(cases)
-        last = {_binding(params): i for i, params in enumerate(cases)}
-        ks = [params["k"] for params in cases]
-        if ks:
-            # from the least k to the largest, or to the cap: a case over it
-            # runs alone and is refused as it would be
-            low, top = min(ks), min(max(ks), enumeration_budget())
-    held: dict[tuple[int, ...], list[_Sides]] = {}
+        # the largest k of the grids, or the cap: a case over it runs alone
+        # and is refused as it would be
+        top = min(max(ranges["k"][1] for ranges in range_dicts), enumeration_budget())
+    held: dict[tuple[int, ...], tuple[int, list[_Sides]]] = {}  # binding -> (first k, sides)
     total = failed = 0
     first_failures: list[CaseReport] = []
-    for i, params in enumerate(cases):
+    for params in cases:
         sides = None
         if span is not None and params["k"] <= top:
-            key = _binding(params)
-            if key not in held:
+            k, key = params["k"], _binding(params)
+            if key not in held and len(held) < _HELD_SPANS:
                 bound, rng = _bind(reg, params, seed, a, b)
-                held[key] = span.sides(bound, rng, low, top)
-            sides = held[key][params["k"] - low]
-            if last[key] == i:
-                del held[key]
+                held[key] = k, span.sides(bound, rng, k, top)
+            first, run = held.get(key, (top + 1, []))
+            if first <= k:
+                sides = run[k - first]
+            if k == top:
+                held.pop(key, None)
         report = verify_case(identity_id, params, seed=seed, a=a, b=b, _sides=sides)
         total += 1
         if not report.passed:

@@ -3,11 +3,12 @@
 verify_range computes the sides of every k of one binding of a transform
 suite (the sample with its drawn a and b, or n) once, up to the suite's top
 k, and hands each case its entry; verify_case run alone computes the sides
-up to its own k and reads the last.  Each grid below runs both ways, and the
-reports must be equal one by one, in grid order, for pair1-5, eq5, eq42 and
-lemma7: the default grids, grids that start above k = 1, two range dicts
-that share bindings, the pinned binding a = 1/2, b = -1/2, and grids whose
-top k is over the cap, where both ways raise the same error at the same case.
+of its own k.  Each grid below runs both ways, and the reports must be
+equal one by one, in grid order, for pair1-5, eq5, eq42 and lemma7: the
+default grids, grids that start above k = 1, two range dicts that share
+bindings, more bindings than verify_range keeps sides for, the pinned
+binding a = 1/2, b = -1/2, and grids whose top k is over the cap, where
+both ways raise the same error at the same case.
 """
 
 from fractions import Fraction
@@ -70,7 +71,7 @@ def test_the_default_grid_matches_its_cases_run_alone(identity_id, monkeypatch):
 
 
 GRIDS = {
-    # above k = 1: the sides still run from k = 1 up to 16
+    # above k = 1: each binding's sides run from its first k, 15, up to 16
     "lemma7_k15_16": ("lemma7_roundtrip", [{"sample": (0, 1), "k": (15, 16)}]),
     "pair5_eh_k15_16": ("pair5_eh", [{"sample": (0, 0), "k": (15, 16)}]),
     "eq42_k15_16": ("eq42", [{"k": (15, 16), "n": (1, 3)}]),
@@ -82,6 +83,9 @@ GRIDS = {
     "pair2_eh_two_dicts": ("pair2_eh",
                            [{"sample": (0, 1), "k": (1, 3)}, {"sample": (0, 2), "k": (2, 10)}]),
     "pair4_eh_two_dicts": ("pair4_eh", [{"k": (5, 6)}, {"k": (1, 12)}]),
+    # more bindings than verify_range keeps sides for: the rest run alone
+    "eq5_41_bindings": ("eq5", [{"k": (1, 4), "n": (0, 40)}]),
+    "pair1_eh_40_samples": ("pair1_eh", [{"k": (1, 3), "sample": (0, 39)}]),
 }
 
 
@@ -89,6 +93,14 @@ GRIDS = {
 def test_a_wider_grid_matches_its_cases_run_alone(grid, monkeypatch):
     identity_id, range_dicts = GRIDS[grid]
     check_both_ways(identity_id, range_dicts, monkeypatch)
+
+
+@pytest.mark.parametrize("identity_id", TRANSFORM_SUITES)
+def test_with_room_for_one_binding_the_default_grid_matches_its_cases_run_alone(
+    identity_id, monkeypatch
+):
+    monkeypatch.setattr(identities, "_HELD_SPANS", 1)
+    check_both_ways(identity_id, default_ranges(identity_id, samples=2), monkeypatch)
 
 
 @pytest.mark.parametrize("identity_id", ["pair5_eh", "pair5_he", "pair1_eh", "pair2_he"])
