@@ -8,9 +8,9 @@ ordered dict of each parameter's lower bound (which gives its params, domain
 text and domain predicate, unless the domain relates two parameters), its
 modes, default verification grids, and a pure evaluator
 ``(params, rng) -> (lhs, rhs)`` that produces both sides exactly.  The
-thirteen transform suites register a ``_Span`` instead: the sides of every
-k up to a top for one binding of their other params, from one run of
-routes that form every prefix T(1..top) on their way.  eq5, eq42 and the
+thirteen transform suites register a ``_Span`` instead: the sides of each
+k from a low one up to a top for one binding of their other params, from
+one run of routes that form every prefix T(1..top) on their way.  eq5, eq42 and the
 pair entries run one, ``_pair_span(terms_id, direction)``: eq5 and eq42
 are the two directions of symfun's binomial pair.  The pair entries come
 from one table, ``_PAIRS``, with a row per (e, h) pair: its pair_terms id,
@@ -24,8 +24,8 @@ identity with a ``sample`` parameter it opens one stream,
 ``seeded_rng(seed, stream, sample)``: the pair's row label (so _eh and _he
 share their draws) or "lemma7".  It draws the pair rationals from that
 stream, binds them into the params, and hands the evaluator the same
-stream.  A span runs up to the case's own k, unless verify_range hands in
-the sides it ran once for the binding.  verify_case then compares the sides
+stream.  A span runs for the case's own k alone, unless verify_range hands
+in the sides it ran once for the binding.  verify_case then compares the sides
 and serializes the lhs; equal sides are serialized once, since every value
 has one canonical form.  The q_exp and q_cauchy pairs run the transform on
 symfun's graded terms (numerators over phi_k), so serializing reduces to a
