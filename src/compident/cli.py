@@ -32,7 +32,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from typing import Sequence
 
 from .compositions import BudgetExceededError, enumerate_all_compositions
@@ -199,7 +198,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_list(args: argparse.Namespace) -> int:
     for descriptor in list_identities():
         if args.format == "json":
-            print(json.dumps(asdict(descriptor), separators=_JSON_SEPARATORS))
+            print(json.dumps(descriptor._asdict(), separators=_JSON_SEPARATORS))
         else:
             print(
                 f"{descriptor.id}: {descriptor.statement} "

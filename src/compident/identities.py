@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as cartesian_product
 from math import comb, factorial
@@ -88,8 +87,7 @@ class UnknownIdentityError(ValueError):
     """No identity is registered under the requested id."""
 
 
-@dataclass(frozen=True)
-class IdentityDescriptor:
+class IdentityDescriptor(NamedTuple):
     """Registry entry: what the identity states and how it is verified."""
 
     id: str
@@ -100,15 +98,38 @@ class IdentityDescriptor:
     domain: str
 
 
-@dataclass
 class CaseReport:
-    """Exact verdict for one parameter binding."""
+    """Exact verdict for one parameter binding.
 
-    identity_id: str
-    params: dict[str, str]
-    lhs: str
-    rhs: str
-    passed: bool
+    A slotted class, not a NamedTuple: a report can be weakly referenced,
+    and two reports are equal when their five fields are, never a report
+    and a tuple.  It is unhashable, as its params dict is.
+    """
+
+    __slots__ = ("identity_id", "params", "lhs", "rhs", "passed", "__weakref__")
+    __hash__ = None
+
+    def __init__(
+        self, identity_id: str, params: dict[str, str], lhs: str, rhs: str, passed: bool
+    ) -> None:
+        self.identity_id = identity_id
+        self.params = params
+        self.lhs = lhs
+        self.rhs = rhs
+        self.passed = passed
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CaseReport):
+            return NotImplemented
+        return (self.identity_id, self.params, self.lhs, self.rhs, self.passed) == (
+            other.identity_id, other.params, other.lhs, other.rhs, other.passed
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"CaseReport(identity_id={self.identity_id!r}, params={self.params!r}, "
+            f"lhs={self.lhs!r}, rhs={self.rhs!r}, passed={self.passed!r})"
+        )
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -120,8 +141,7 @@ class CaseReport:
         }
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     """Aggregated verdict over a parameter grid."""
 
     identity_id: str
@@ -172,8 +192,7 @@ def _n_optional(modes: Sequence[str]) -> bool:
     return {"pointwise", "polynomial_in_n"} <= set(modes)
 
 
-@dataclass(frozen=True)
-class _Registration:
+class _Registration(NamedTuple):
     descriptor: IdentityDescriptor
     valid: Callable[[Mapping[str, int]], bool]
     evaluate: _Evaluator | _Span

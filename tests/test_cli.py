@@ -374,8 +374,6 @@ def test_failure_exit_code_path(monkeypatch, capsys):
 def test_internal_error_exits_3(monkeypatch, capsys):
     # An inexact division is a ValueError but a fault of the program, so it
     # must not be reported as a usage error (exit 2).
-    import dataclasses
-
     import compident.identities as identities
     from compident.poly import InexactDivisionError
 
@@ -383,7 +381,7 @@ def test_internal_error_exits_3(monkeypatch, capsys):
         raise InexactDivisionError("inexact polynomial division")
 
     reg = identities._REGISTRY["eq5"]
-    monkeypatch.setitem(identities._REGISTRY, "eq5", dataclasses.replace(reg, evaluate=broken))
+    monkeypatch.setitem(identities._REGISTRY, "eq5", reg._replace(evaluate=broken))
     code = main(["verify", "--id", "eq5", "--k", "1", "--n", "1"])
     assert code == 3
     err = capsys.readouterr().err
@@ -393,15 +391,13 @@ def test_internal_error_exits_3(monkeypatch, capsys):
 def test_internal_value_error_exits_3(monkeypatch, capsys):
     # only DomainError, UnknownIdentityError and BudgetExceededError are the
     # user's fault; any other ValueError is reported as an internal error
-    import dataclasses
-
     import compident.identities as identities
 
     def broken(params, rng):
         raise ValueError("evaluator fault")
 
     reg = identities._REGISTRY["eq5"]
-    monkeypatch.setitem(identities._REGISTRY, "eq5", dataclasses.replace(reg, evaluate=broken))
+    monkeypatch.setitem(identities._REGISTRY, "eq5", reg._replace(evaluate=broken))
     assert main(["verify", "--id", "eq5", "--k", "1", "--n", "1"]) == 3
     assert capsys.readouterr().err == "compident: internal error: evaluator fault\n"
 
@@ -413,15 +409,13 @@ def test_internal_value_error_exits_3(monkeypatch, capsys):
 def test_internal_fault_of_any_class_exits_3(fault, monkeypatch, capsys):
     # exit 1 means "a case failed", so a fault that is not a ValueError must
     # not escape as a traceback either
-    import dataclasses
-
     import compident.identities as identities
 
     def broken(params, rng):
         raise fault
 
     reg = identities._REGISTRY["eq5"]
-    monkeypatch.setitem(identities._REGISTRY, "eq5", dataclasses.replace(reg, evaluate=broken))
+    monkeypatch.setitem(identities._REGISTRY, "eq5", reg._replace(evaluate=broken))
     assert main(["verify", "--id", "eq5", "--k", "1", "--n", "1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

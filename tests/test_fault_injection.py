@@ -16,7 +16,6 @@ serialized sides of a binding where factors cancel (b = -a) show it, and
 the build of a later Phi_n from it fails its exact division.
 """
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -344,6 +343,6 @@ def test_a_span_that_serves_a_late_lhs_fails_the_transform_suites(
 ):
     for registered, reg in list(identities._REGISTRY.items()):
         if isinstance(reg.evaluate, identities._Span):
-            late = dataclasses.replace(reg, evaluate=served_late(reg.evaluate))
+            late = reg._replace(evaluate=served_late(reg.evaluate))
             monkeypatch.setitem(identities._REGISTRY, registered, late)
     assert verify_range(identity_id).passed is passes

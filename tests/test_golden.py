@@ -14,6 +14,7 @@ default grid, so both of its directions at k, n <= 16 are pinned case by case,
 nor lemma7 above its default grid, so k = 15..16 is pinned too, nor the
 transform suites over k-spans wider than their defaults, where one binding's
 cases read the most prefixes of one run, so six of those are pinned as well.
+The catalog that ``list`` prints in both formats is pinned too.
 """
 
 import hashlib
@@ -207,3 +208,18 @@ def test_transform_suites_over_wide_k_spans_match_their_digest(identity_id, opti
     assert main(argv) == 0
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == WIDE_K_SPANS[identity_id, options]
+
+
+# sha256 of the stdout of list in both formats: recorded while the
+# descriptors were dataclasses and the JSON came from dataclasses.asdict
+LIST_STDOUT = {
+    "list --format json": "09d82b7ca3ae1ebb7725597fc0f350f25427a711c2b8f0d1f4c04c829970a19d",
+    "list": "d2dd0f9569c6195b1afba085230adfc0e3508fed8efdf28cfdecd89e6ca88c84",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LIST_STDOUT))
+def test_list_output_matches_its_digest(argv, capsys):
+    assert main(argv.split()) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == LIST_STDOUT[argv]

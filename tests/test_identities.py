@@ -1,6 +1,5 @@
 """Tests for the identity registry and the verification engine."""
 
-import dataclasses
 import json
 import threading
 import weakref
@@ -47,7 +46,7 @@ def test_registry_is_complete_and_ordered():
         assert d.statement
         assert d.ring in ("integer", "rational", "polynomial_q", "rational_function_q")
         assert d.params
-        assert set(dataclasses.asdict(d)) == {"id", "statement", "ring", "params", "modes", "domain"}
+        assert set(d._asdict()) == {"id", "statement", "ring", "params", "modes", "domain"}
 
 
 def test_descriptor_lookup():
@@ -204,7 +203,7 @@ def test_verify_range_caps_reported_failures(monkeypatch):
         return params["n"] % 2, 0
 
     reg = identities._REGISTRY["eq5"]
-    monkeypatch.setitem(identities._REGISTRY, "eq5", dataclasses.replace(reg, evaluate=odd_n_fails))
+    monkeypatch.setitem(identities._REGISTRY, "eq5", reg._replace(evaluate=odd_n_fails))
     report = verify_range("eq5", {"k": (1, 4), "n": (0, 8)})
     assert seen == [(k, n) for k in range(1, 5) for n in range(9)]  # grid order
     failing = [(k, n) for k, n in seen if n % 2]
@@ -329,7 +328,7 @@ def test_equal_sides_are_serialized_once(monkeypatch):
 
     reg = identities._REGISTRY["eq5"]
     monkeypatch.setitem(
-        identities._REGISTRY, "eq5", dataclasses.replace(reg, evaluate=lambda p, rng: (1, 0))
+        identities._REGISTRY, "eq5", reg._replace(evaluate=lambda p, rng: (1, 0))
     )
     calls.clear()
     report = verify_case("eq5", {"k": 3, "n": 2})
@@ -542,3 +541,44 @@ def test_suite_report_failure_handling():
     assert len(payload["failures"]) == 10  # capped
     assert payload["failures"][0]["pass"] is False
     assert passing.to_json()["pass"] is True
+
+
+def test_reports_compare_by_value():
+    params = {"k": "1", "n": "1"}
+    report = CaseReport("eq5", params, "1", "2", False)
+    assert report == CaseReport("eq5", dict(params), "1", "2", False)
+    assert report != CaseReport("eq5", params, "1", "2", True)
+    assert report != ("eq5", params, "1", "2", False)
+    assert repr(report) == (
+        "CaseReport(identity_id='eq5', params={'k': '1', 'n': '1'}, lhs='1', rhs='2', passed=False)"
+    )
+    assert SuiteReport("eq5", 2, 1, [report], 3) == SuiteReport("eq5", 2, 1, [report], 3, 0)
+    assert SuiteReport("eq5", 2, 1, [], 3).elapsed_us == 0
+
+
+def test_case_report_is_unhashable_and_weakly_referenced():
+    report = CaseReport("eq5", {"k": "2", "n": "1"}, "1", "1", True)
+    with pytest.raises(TypeError):
+        hash(report)
+    assert weakref.ref(report)() is report
+    assert not hasattr(report, "__dict__")
+
+
+def test_descriptors_and_registry_entries_are_read_only():
+    descriptor = get_descriptor("eq5")
+    reg = identities._REGISTRY["eq5"]
+    with pytest.raises(AttributeError):
+        descriptor.domain = "anything"
+    with pytest.raises(AttributeError):
+        reg.evaluate = None
+    assert get_descriptor("eq5") == descriptor and identities._REGISTRY["eq5"] is reg
+
+
+def test_a_replaced_registry_entry_runs_in_verify_range(monkeypatch):
+    reg = identities._REGISTRY["eq5"]
+    replaced = reg._replace(evaluate=lambda p, rng: (p["k"], p["n"]))
+    assert replaced.descriptor is reg.descriptor and replaced.grids == reg.grids
+    monkeypatch.setitem(identities._REGISTRY, "eq5", replaced)
+    report = verify_range("eq5", {"k": (1, 3), "n": (0, 3)})
+    assert (report.cases_total, report.cases_failed) == (12, 9)
+    assert report.first_failures[0].params == {"k": "1", "n": "0"}
