@@ -24,12 +24,13 @@ identity with a ``sample`` parameter it opens one stream,
 ``seeded_rng(seed, stream, sample)``: the pair's row label (so _eh and _he
 share their draws) or "lemma7".  It draws the pair rationals from that
 stream, binds them into the params, and hands the evaluator the same
-stream.  A span runs for the case's own k alone, unless verify_range hands
-in the sides it ran once for the binding.  verify_case then compares the sides
-and serializes the lhs; equal sides are serialized once, since every value
-has one canonical form.  The q_exp and q_cauchy pairs run the transform on
-symfun's graded terms (numerators over phi_k), so serializing reduces to a
-RationalFunction once per passing case.
+stream.  A suite checks, binds and evaluates each case once (a span once
+per binding) and hands verify_case the bound params and sides; called
+alone, verify_case checks, binds and evaluates, a span for its own k.  It
+compares the sides and serializes the lhs; equal sides are serialized
+once, since every value has one canonical form.  The q_exp and q_cauchy
+pairs run the transform on symfun's graded terms (numerators over phi_k),
+so serializing reduces to a RationalFunction once per passing case.
 
 Verification is pointwise (parameters substituted, exact values compared) or
 coefficientwise as polynomial identities in n for eq13, eq29, eq47 (those
@@ -692,45 +693,41 @@ def verify_case(
     seed: int = DEFAULT_SEED,
     a: Fraction | None = None,
     b: Fraction | None = None,
-    _sides: _Sides | None = None,
+    _case: tuple[dict[str, Any], _Sides] | None = None,
 ) -> CaseReport:
     """Evaluate both sides exactly for one parameter binding.
 
-    An identity with a ``sample`` parameter gets one stream,
-    ``seeded_rng(seed, stream, sample)``.  Its pair rationals are drawn
-    from it in order, each redrawn while it equals one already bound;
+    Called alone, it checks the params and their domain, binds them and
+    evaluates them.  An identity with a ``sample`` parameter gets one
+    stream, ``seeded_rng(seed, stream, sample)``.  Its pair rationals are
+    drawn from it in order, each redrawn while it equals one already bound;
     ``a`` and ``b`` pin the ones they name instead.  The evaluator gets the
-    params with the rationals bound, and the same stream; a transform
-    suite's span runs from k to k, unless verify_range hands in the sides
-    it ran for the binding.  Equal sides are serialized once, from the
-    lhs.  A transform over k above the COMPIDENT_BUDGET cap raises
-    BudgetExceededError.
+    params with the rationals bound, and the same stream; a span runs from
+    k to k, and raises BudgetExceededError over the COMPIDENT_BUDGET cap.
+    verify_range hands in each case it has checked, bound and evaluated, as
+    ``_case`` = (bound params, sides).  Equal sides are serialized once.
     """
-    reg = _registration(identity_id)
-    cleaned = _check_params(reg, params)
-    if not reg.valid(cleaned):
-        raise DomainError(
-            f"{identity_id}: parameters {dict(cleaned)} outside domain ({reg.descriptor.domain})"
-        )
-    bound, rng = _bind(reg, cleaned, seed, a, b)
-    evaluate = reg.evaluate
-    if _sides is None:
+    if _case is None:
+        reg = _registration(identity_id)
+        cleaned = _check_params(reg, params)
+        if not reg.valid(cleaned):
+            raise DomainError(
+                f"{identity_id}: parameters {dict(cleaned)} outside domain ({reg.descriptor.domain})"
+            )
+        bound, rng = _bind(reg, cleaned, seed, a, b)
+        evaluate = reg.evaluate
         if isinstance(evaluate, _Span):
             k = bound["k"]
             check_budget(evaluate.operation, k)  # before any term is built
-            _sides = evaluate.sides(bound, rng, k, k)[0]
+            _case = bound, evaluate.sides(bound, rng, k, k)[0]
         else:
-            _sides = evaluate(bound, rng)
-    lhs, rhs = _sides
+            _case = bound, evaluate(bound, rng)
+    bound, (lhs, rhs) = _case
     passed = lhs == rhs
     lhs_text = _serialize_value(lhs)
-    return CaseReport(
-        identity_id=identity_id,
-        params={name: str(value) for name, value in bound.items()},
-        lhs=lhs_text,
-        rhs=lhs_text if passed else _serialize_value(rhs),
-        passed=passed,
-    )
+    params_text = {name: str(value) for name, value in bound.items()}
+    rhs_text = lhs_text if passed else _serialize_value(rhs)
+    return CaseReport(identity_id, params_text, lhs_text, rhs_text, passed)
 
 
 def _case_grid(
@@ -763,11 +760,6 @@ def _case_grid(
     return (candidate for candidate in candidates if reg.valid(candidate))
 
 
-def _binding(params: Mapping[str, int]) -> tuple[int, ...]:
-    # a case's params other than k: the binding a transform suite's span serves
-    return tuple(value for name, value in params.items() if name != "k")
-
-
 def verify_range(
     identity_id: str,
     ranges: Mapping[str, tuple[int, int]] | Sequence[Mapping[str, tuple[int, int]]] | None = None,
@@ -785,19 +777,20 @@ def verify_range(
     Combinations outside the identity's domain (for example t > k in a
     triangular family) are skipped, not errors.  ``samples`` sizes the
     default grids of identities that draw rationals; ``seed``, ``a`` and
-    ``b`` reach each verify_case.  Cases run in the documented parameter
-    order, one after another in the calling thread.  The suite streams:
-    each case's report is folded into the counts as it returns, and only
-    the first MAX_REPORTED_FAILURES failing reports are kept, so no passing
-    report outlives its case.
+    ``b`` bind each case.  Cases run in the documented parameter order, one
+    after another in the calling thread; each is checked, bound and
+    evaluated once, and verify_case gets its bound params and sides.  The
+    suite streams: each report is folded into the counts as it returns, and
+    only the first MAX_REPORTED_FAILURES failing reports are kept, so no
+    passing report outlives its case.
 
     A transform suite runs its span once per binding (the params other
     than k), from the binding's first k up to the grids' largest k, or to
     the COMPIDENT_BUDGET cap if that is lower; the cap is read once.  It
     keeps one list of sides per binding until the binding's case at that
     top k, and each case reads its entry; with _HELD_SPANS lists kept, a
-    new binding's cases run alone, as do cases over the cap, which are
-    refused as they would be on their own.
+    new binding's cases each run their own k alone.  verify_case refuses a
+    case over the cap as it would on its own.
     """
     reg = _registration(identity_id)
     if ranges is None:
@@ -812,25 +805,31 @@ def verify_range(
     start = time.perf_counter_ns()
     span = reg.evaluate if isinstance(reg.evaluate, _Span) else None
     if span is not None:
-        # the largest k of the grids, or the cap: a case over it runs alone
-        # and is refused as it would be
+        # the largest k of the grids, or the cap: verify_case refuses a case over it
         top = min(max(ranges["k"][1] for ranges in range_dicts), enumeration_budget())
-    held: dict[tuple[int, ...], tuple[int, list[_Sides]]] = {}  # binding -> (first k, sides)
+    # binding (the params other than k) -> (first k, bound params, sides from it to top)
+    held: dict[tuple[int, ...], tuple[int, dict[str, Any], list[_Sides]]] = {}
     total = failed = 0
     first_failures: list[CaseReport] = []
-    for params in cases:
-        sides = None
-        if span is not None and params["k"] <= top:
-            k, key = params["k"], _binding(params)
+    for params in cases:  # in the domain, ints in the documented order
+        case = None  # over the cap
+        if span is None:
+            bound, rng = _bind(reg, params, seed, a, b)
+            case = bound, reg.evaluate(bound, rng)
+        elif params["k"] <= top:
+            k, key = params["k"], tuple(v for name, v in params.items() if name != "k")
             if key not in held and len(held) < _HELD_SPANS:
                 bound, rng = _bind(reg, params, seed, a, b)
-                held[key] = k, span.sides(bound, rng, k, top)
-            first, run = held.get(key, (top + 1, []))
+                held[key] = k, bound, span.sides(bound, rng, k, top)
+            first, bound, run = held.get(key, (top + 1, {}, []))
             if first <= k:
-                sides = run[k - first]
+                case = {**bound, "k": k}, run[k - first]
+            else:  # no held span reaches back to k: the case's own k alone
+                bound, rng = _bind(reg, params, seed, a, b)
+                case = bound, span.sides(bound, rng, k, k)[0]
             if k == top:
                 held.pop(key, None)
-        report = verify_case(identity_id, params, seed=seed, a=a, b=b, _sides=sides)
+        report = verify_case(identity_id, params, seed=seed, a=a, b=b, _case=case)
         total += 1
         if not report.passed:
             failed += 1

@@ -8,7 +8,9 @@ change that lets both sides of one of these checks read the same fast path
 makes its test fail.  The transform suites read every case of a binding
 from one list of prefixes T(1..k), so the rows on the transform routes
 perturb the 4th entry of that list, and one test has every span hand each
-case the lhs of the case before it.
+case the lhs of the case before it.  verify_range evaluates every other
+suite's cases itself, and one more test has each of their evaluators hand
+a case the lhs of its previous call.
 
 A wrong cyclotomic factor Phi_d is the exception: the q-pair verdicts
 compare numerators over one phi_m and never read a Phi_d.  Only the
@@ -344,5 +346,35 @@ def test_a_span_that_serves_a_late_lhs_fails_the_transform_suites(
     for registered, reg in list(identities._REGISTRY.items()):
         if isinstance(reg.evaluate, identities._Span):
             late = reg._replace(evaluate=served_late(reg.evaluate))
+            monkeypatch.setitem(identities._REGISTRY, registered, late)
+    assert verify_range(identity_id).passed is passes
+
+
+def served_previous(evaluate):
+    # each call after the first gets the lhs of the call before it against its own rhs
+    lhs_seen = []
+
+    def late(params, rng):
+        lhs, rhs = evaluate(params, rng)
+        lhs_seen.append(lhs)
+        return lhs_seen[-2] if len(lhs_seen) > 1 else lhs, rhs
+
+    return late
+
+
+PLAIN_SUITES = [identity_id for identity_id in ALL_SUITES if identity_id not in TRANSFORM_SUITES]
+
+
+# eq37's lhs is 0 on every case, and so is eq41's for t >= 2: a previous lhs
+# is still the right one
+@pytest.mark.parametrize(
+    "identity_id, passes", sorted({**only(*PLAIN_SUITES), "eq37": True, "eq41": True}.items())
+)
+def test_an_evaluator_that_serves_a_previous_lhs_fails_the_plain_suites(
+    identity_id, passes, monkeypatch
+):
+    for registered, reg in list(identities._REGISTRY.items()):
+        if not isinstance(reg.evaluate, identities._Span):
+            late = reg._replace(evaluate=served_previous(reg.evaluate))
             monkeypatch.setitem(identities._REGISTRY, registered, late)
     assert verify_range(identity_id).passed is passes

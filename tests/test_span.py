@@ -1,14 +1,18 @@
-"""A transform suite run against its cases run one by one.
+"""A suite run against its cases run one by one.
 
-verify_range computes the sides of every k of one binding of a transform
-suite (the sample with its drawn a and b, or n) once, up to the suite's top
-k, and hands each case its entry; verify_case run alone computes the sides
-of its own k.  Each grid below runs both ways, and the reports must be
-equal one by one, in grid order, for pair1-5, eq5, eq42 and lemma7: the
-default grids, grids that start above k = 1, two range dicts that share
-bindings, more bindings than verify_range keeps sides for, the pinned
-binding a = 1/2, b = -1/2, and grids whose top k is over the cap, where
-both ways raise the same error at the same case.
+verify_range checks, binds and evaluates each case of its grid once and
+hands verify_case the bound params and sides; a transform suite computes
+the sides of every k of one binding (the sample with its drawn a and b,
+or n) once, up to the suite's top k, and hands each case its entry.
+verify_case run alone checks, binds and evaluates its own case, a span for
+its own k.  Each grid below runs both ways, and the reports must be equal
+one by one, in grid order: the default grids of every suite, and for
+pair1-5, eq5, eq42 and lemma7 grids that start above k = 1, two range
+dicts that share bindings, more bindings than verify_range keeps sides
+for, the pinned binding a = 1/2, b = -1/2, and grids whose top k is over
+the cap, where both ways raise the same error at the same case.  A suite
+opens one sample stream per binding and calls each domain check once per
+grid candidate.
 """
 
 from fractions import Fraction
@@ -18,8 +22,10 @@ import pytest
 
 from compident import compositions, identities
 from compident.compositions import BudgetExceededError
+from compident.exact_arith import DomainError
 from compident.identities import default_ranges, get_descriptor, verify_case, verify_range
 
+ALL_SUITES = [descriptor.id for descriptor in identities.list_identities()]
 TRANSFORM_SUITES = ["eq5", "eq42", "lemma7_roundtrip",
                     *(f"pair{j}_{way}" for j in range(1, 6) for way in ("eh", "he"))]
 HALVES = {"a": Fraction(1, 2), "b": Fraction(-1, 2)}
@@ -45,16 +51,20 @@ def suite_reports(identity_id, range_dicts, monkeypatch, **options):
 
 
 def case_reports(identity_id, range_dicts, **options):
-    # every case of the grids run alone, in the parameters' documented order
-    names = get_descriptor(identity_id).params
+    # every case of the grids run alone, in the parameters' documented order;
+    # a case verify_case refuses as outside the domain is no case
     reports = []
     for ranges in range_dicts:
+        names = [name for name in get_descriptor(identity_id).params if name in ranges]
         spans = [range(lo, hi + 1) for lo, hi in (ranges[name] for name in names)]
         for values in product(*spans):
             try:
                 reports.append(verify_case(identity_id, dict(zip(names, values)), **options))
             except BudgetExceededError as exc:
                 return reports, str(exc)
+            except DomainError as exc:
+                if "outside domain" not in str(exc):
+                    raise
     return reports, None
 
 
@@ -65,7 +75,7 @@ def check_both_ways(identity_id, range_dicts, monkeypatch, **options):
     assert by_suite == alone
 
 
-@pytest.mark.parametrize("identity_id", TRANSFORM_SUITES)
+@pytest.mark.parametrize("identity_id", ALL_SUITES)
 def test_the_default_grid_matches_its_cases_run_alone(identity_id, monkeypatch):
     check_both_ways(identity_id, default_ranges(identity_id, samples=2), monkeypatch)
 
@@ -141,3 +151,46 @@ def test_a_suite_reads_the_cap_once(identity_id, monkeypatch):
                             lambda budget=budget: reads.append(1) or budget())
     assert verify_range(identity_id, samples=2).passed
     assert len(reads) == 1
+
+
+def counted(function, calls):
+    # function, appending 1 to calls on every call
+    def count(*args):
+        calls.append(1)
+        return function(*args)
+
+    return count
+
+
+@pytest.mark.parametrize("identity_id, streams", [("pair1_eh", 5), ("lemma7_roundtrip", 20)])
+def test_a_sampled_suite_opens_one_stream_per_binding(identity_id, streams, monkeypatch):
+    # 5 samples x 8 ks for pair1_eh, 20 x 8 for lemma7: one stream per sample
+    opened = []
+    monkeypatch.setattr(identities, "seeded_rng", counted(identities.seeded_rng, opened))
+    assert verify_range(identity_id).passed
+    assert len(opened) == streams
+
+
+def counted_domains(monkeypatch):
+    # every registration's domain check, counted in one list
+    calls = []
+    for registered, reg in list(identities._REGISTRY.items()):
+        counting = reg._replace(valid=counted(reg.valid, calls))
+        monkeypatch.setitem(identities._REGISTRY, registered, counting)
+    return calls
+
+
+def test_a_suite_checks_each_grid_candidate_once(monkeypatch):
+    # eq18's default grid: 25 x 25 candidates, of which 325 have t <= k
+    calls = counted_domains(monkeypatch)
+    assert verify_range("eq18").cases_total == 325
+    assert len(calls) == 625
+
+
+def test_a_case_run_alone_is_still_checked(monkeypatch):
+    calls = counted_domains(monkeypatch)
+    with pytest.raises(DomainError, match=r"eq18: parameters \{'k': 2, 't': 3\} outside domain"):
+        verify_case("eq18", {"k": 2, "t": 3})
+    with pytest.raises(DomainError, match="eq18: unknown parameter 'n'"):
+        verify_case("eq18", {"k": 2, "t": 1, "n": 1})
+    assert len(calls) == 1
