@@ -24,13 +24,13 @@ identity with a ``sample`` parameter it opens one stream,
 ``seeded_rng(seed, stream, sample)``: the pair's row label (so _eh and _he
 share their draws) or "lemma7".  It draws the pair rationals from that
 stream, binds them into the params, and hands the evaluator the same
-stream.  A suite checks, binds and evaluates each case once (a span once
-per binding) and hands verify_case the bound params and sides; called
-alone, verify_case checks, binds and evaluates, a span for its own k.  It
-compares the sides and serializes the lhs; equal sides are serialized
-once, since every value has one canonical form.  The q_exp and q_cauchy
-pairs run the transform on symfun's graded terms (numerators over phi_k),
-so serializing reduces to a RationalFunction once per passing case.
+stream.  A suite checks, binds and evaluates each case once (a span once per
+binding) and hands verify_case the bound params and sides; verify_case
+checks, binds and evaluates a case alone, and a span case that no held span
+covers.  It compares the sides and serializes the lhs; equal sides are
+serialized once, since every value has one canonical form.  The q_exp and
+q_cauchy pairs run the transform on symfun's graded terms (numerators over
+phi_k), so serializing reduces to a RationalFunction once per passing case.
 
 Verification is pointwise (parameters substituted, exact values compared) or
 coefficientwise as polynomial identities in n for eq13, eq29, eq47 (those
@@ -686,6 +686,19 @@ def _bind(
     return bound, rng
 
 
+def _bind_and_evaluate(
+    reg: _Registration, cleaned: Mapping[str, int], seed: int,
+    a: Fraction | None, b: Fraction | None,
+) -> tuple[dict[str, Any], _Sides]:
+    # one checked case: its bound params and sides; a span runs from k to k
+    bound, rng = _bind(reg, cleaned, seed, a, b)
+    evaluate = reg.evaluate
+    if not isinstance(evaluate, _Span):
+        return bound, evaluate(bound, rng)
+    check_budget(evaluate.operation, bound["k"])  # before any term is built
+    return bound, evaluate.sides(bound, rng, bound["k"], bound["k"])[0]
+
+
 def verify_case(
     identity_id: str,
     params: Mapping[str, int],
@@ -714,14 +727,7 @@ def verify_case(
             raise DomainError(
                 f"{identity_id}: parameters {dict(cleaned)} outside domain ({reg.descriptor.domain})"
             )
-        bound, rng = _bind(reg, cleaned, seed, a, b)
-        evaluate = reg.evaluate
-        if isinstance(evaluate, _Span):
-            k = bound["k"]
-            check_budget(evaluate.operation, k)  # before any term is built
-            _case = bound, evaluate.sides(bound, rng, k, k)[0]
-        else:
-            _case = bound, evaluate(bound, rng)
+        _case = _bind_and_evaluate(reg, cleaned, seed, a, b)
     bound, (lhs, rhs) = _case
     passed = lhs == rhs
     lhs_text = _serialize_value(lhs)
@@ -788,9 +794,8 @@ def verify_range(
     than k), from the binding's first k up to the grids' largest k, or to
     the COMPIDENT_BUDGET cap if that is lower; the cap is read once.  It
     keeps one list of sides per binding until the binding's case at that
-    top k, and each case reads its entry; with _HELD_SPANS lists kept, a
-    new binding's cases each run their own k alone.  verify_case refuses a
-    case over the cap as it would on its own.
+    top k, and each case reads its entry.  A case over the cap, or of a new
+    binding with _HELD_SPANS lists kept, runs alone in verify_case.
     """
     reg = _registration(identity_id)
     if ranges is None:
@@ -812,21 +817,17 @@ def verify_range(
     total = failed = 0
     first_failures: list[CaseReport] = []
     for params in cases:  # in the domain, ints in the documented order
-        case = None  # over the cap
+        case = None  # over the cap, or no held span reaches back to k
         if span is None:
-            bound, rng = _bind(reg, params, seed, a, b)
-            case = bound, reg.evaluate(bound, rng)
+            case = _bind_and_evaluate(reg, params, seed, a, b)
         elif params["k"] <= top:
             k, key = params["k"], tuple(v for name, v in params.items() if name != "k")
             if key not in held and len(held) < _HELD_SPANS:
                 bound, rng = _bind(reg, params, seed, a, b)
                 held[key] = k, bound, span.sides(bound, rng, k, top)
-            first, bound, run = held.get(key, (top + 1, {}, []))
-            if first <= k:
+            if key in held and held[key][0] <= k:
+                first, bound, run = held[key]
                 case = {**bound, "k": k}, run[k - first]
-            else:  # no held span reaches back to k: the case's own k alone
-                bound, rng = _bind(reg, params, seed, a, b)
-                case = bound, span.sides(bound, rng, k, k)[0]
             if k == top:
                 held.pop(key, None)
         report = verify_case(identity_id, params, seed=seed, a=a, b=b, _case=case)
