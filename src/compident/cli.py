@@ -29,6 +29,7 @@ variable lifts the k <= 20 enumeration cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -61,7 +62,15 @@ _SPAN_FLAGS = ("k", "n", "t", "x")
 
 _JSON_SEPARATORS = (",", ":")
 
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused after.
+
+    main builds it on its first call, not at import, and later main calls
+    in the same process parse with the same object.  Nothing changes it
+    once built: each parse_args call returns a new Namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="compident",
         description="Exact verification of composition-generated combinatorial identities.",
@@ -276,6 +285,12 @@ def _discard_stdout() -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command line; return its exit code.
+
+    The parser is built on the first call and reused by later calls in the
+    same process (see build_parser), so an embedder that calls main many
+    times pays for it once.
+    """
     # Exact values and span bounds can pass the 4300-digit limit that CPython
     # 3.10.7+ puts on int <-> str conversion: lift it for this run only, so an
     # in-process caller gets its own limit back.

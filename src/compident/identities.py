@@ -196,6 +196,7 @@ def _n_optional(modes: Sequence[str]) -> bool:
 class _Registration(NamedTuple):
     descriptor: IdentityDescriptor
     valid: Callable[[Mapping[str, int]], bool]
+    lower: Mapping[str, int] | None  # each param's least value, if that alone is the domain
     evaluate: _Evaluator | _Span
     grids: tuple[_RangeDict, ...]
     rationals: tuple[str, ...]  # pair rationals drawn per sample
@@ -226,14 +227,16 @@ def _register(
 
     ``lower`` maps each parameter, in order, to its least value.  It gives
     the descriptor's params and, unless ``domain`` and ``valid`` are passed
-    for a domain that relates two parameters, the domain text and the
-    predicate.  ``evaluate(params, rng)`` returns the exact (lhs, rhs) of
-    one binding, or is a ``_Span`` over k.  ``rationals`` names the pair
-    rationals that verify_case draws for each sample from
-    ``seeded_rng(seed, stream, sample)`` and binds into those params; the
-    evaluator gets the same stream as ``rng``.
+    for a domain that relates two parameters, the domain text, the
+    predicate and the least value of each grid span.  ``evaluate(params,
+    rng)`` returns the exact (lhs, rhs) of one binding, or is a ``_Span``
+    over k.  ``rationals`` names the pair rationals that verify_case draws
+    for each sample from ``seeded_rng(seed, stream, sample)`` and binds
+    into those params; the evaluator gets the same stream as ``rng``.
     """
+    bounds = None  # a relational domain: the grid checks each candidate
     if valid is None:
+        bounds = lower
         domain = ", ".join(f"{name} >= {lo}" for name, lo in lower.items())
         if _n_optional(modes):
             domain += " (omit n for the coefficientwise polynomial check)"
@@ -244,7 +247,9 @@ def _register(
     descriptor = IdentityDescriptor(
         identity_id, statement, ring, tuple(lower), tuple(modes), domain
     )
-    _REGISTRY[identity_id] = _Registration(descriptor, valid, evaluate, grids, rationals, stream)
+    _REGISTRY[identity_id] = _Registration(
+        descriptor, valid, bounds, evaluate, grids, rationals, stream
+    )
 
 
 def _registration(identity_id: str) -> _Registration:
@@ -740,6 +745,9 @@ def _case_grid(
     reg: _Registration, range_dicts: Sequence[Mapping[str, tuple[int, int]]]
 ) -> Iterator[dict[str, int]]:
     # Checks every range dict now, then yields the in-domain cases lazily.
+    # Where lower bounds alone make the domain, each span starts at its
+    # bound and every candidate is in it; otherwise each one is checked.
+    lower = reg.lower
     grids: list[tuple[list[str], list[range]]] = []
     for ranges in range_dicts:
         names = [p for p in reg.descriptor.params if p in ranges]
@@ -758,11 +766,15 @@ def _case_grid(
             lo, hi = ranges[name]
             if lo > hi:
                 raise DomainError(f"{reg.descriptor.id}: empty span for {name}: {lo}..{hi}")
+            if lower is not None:
+                lo = max(lo, lower[name])
             spans.append(range(lo, hi + 1))
         grids.append((names, spans))
     candidates = (
         dict(zip(names, combo)) for names, spans in grids for combo in cartesian_product(*spans)
     )
+    if lower is not None:
+        return candidates
     return (candidate for candidate in candidates if reg.valid(candidate))
 
 

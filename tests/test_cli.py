@@ -345,6 +345,48 @@ def test_closed_stdout_in_process_exits_141(monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
+# one process, in order: each call must read as if it ran alone
+REUSE_ARGVS = [
+    ["verify", "--id", "eq5", "--k", "1..3", "--n", "0..2", "--format", "json"],
+    ["verify", "--id", "eq5", "--jobs", "0"],
+    ["verify", "--id", "eq5", "--bogus"],
+    ["verify", "--help"],
+    ["verify", "--id", "eq13", "--k", "1..3", "--format", "json", "--timings"],
+    # no --k: a span left over from an earlier call would change its 8 cases
+    ["verify", "--id", "pair1_eh", "--a", "1/2", "--format", "json"],
+    ["table", "bernoulli", "--max", "3"],
+    ["verify", "--id", "eq5", "--k", "1..3", "--n", "0..2", "--format", "json"],
+]
+
+
+def without_timings(stdout: str) -> str:
+    # --timings adds wall-clock fields, which differ from run to run
+    lines = []
+    for line in stdout.splitlines():
+        payload = json.loads(line)
+        assert payload.pop("elapsed_ms") >= 0 and payload.pop("elapsed_us") >= 0
+        lines.append(json.dumps(payload))
+    return "\n".join(lines)
+
+
+def test_later_main_calls_carry_nothing_from_earlier_ones(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps to the same width in both
+    in_process = []
+    for argv in REUSE_ARGVS:
+        code = main(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert in_process[-1] == in_process[0]
+    assert [code for code, _, _ in in_process] == [0, 2, 2, 0, 0, 0, 0, 0]
+    for argv, (code, out, err) in zip(REUSE_ARGVS, in_process):
+        alone = run_cli(*argv, env={"COLUMNS": "80"})
+        if "--timings" in argv:
+            out, alone_out = without_timings(out), without_timings(alone.stdout)
+        else:
+            alone_out = alone.stdout
+        assert (code, out, err) == (alone.returncode, alone_out, alone.stderr), argv
+
+
 def test_help_exits_zero():
     assert run_cli("--help").returncode == 0
     assert run_cli("verify", "--help").returncode == 0

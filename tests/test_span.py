@@ -11,8 +11,9 @@ pair1-5, eq5, eq42 and lemma7 grids that start above k = 1, two range
 dicts that share bindings, more bindings than verify_range keeps sides
 for, the pinned binding a = 1/2, b = -1/2, and grids whose top k is over
 the cap, where both ways raise the same error at the same case.  A suite
-opens one sample stream per binding and calls each domain check once per
-grid candidate.
+opens one sample stream per binding.  It calls a relational domain check
+(eq18's t <= k) once per grid candidate; where lower bounds alone make the
+domain, it starts each span at its bound and calls no check.
 """
 
 from fractions import Fraction
@@ -185,6 +186,39 @@ def test_a_suite_checks_each_grid_candidate_once(monkeypatch):
     calls = counted_domains(monkeypatch)
     assert verify_range("eq18").cases_total == 325
     assert len(calls) == 625
+
+
+LOWER_BOUND_SUITES = [i for i in ALL_SUITES if identities._REGISTRY[i].lower is not None]
+
+
+@pytest.mark.parametrize("identity_id", LOWER_BOUND_SUITES)
+def test_a_lower_bound_grid_yields_the_checked_candidates_in_order(identity_id, monkeypatch):
+    # spans from two below each bound: the clipped grid is the filtered one
+    reg = identities._REGISTRY[identity_id]
+    full = {name: (lo - 2, lo + 1) for name, lo in reg.lower.items()}
+    range_dicts = [full]
+    if reg.optional_params:
+        range_dicts.append({name: span for name, span in full.items()
+                            if name not in reg.optional_params})
+    expected = [
+        list(zip(ranges, combo))
+        for ranges in range_dicts
+        for combo in product(*(range(lo, hi + 1) for lo, hi in ranges.values()))
+        if reg.valid(dict(zip(ranges, combo)))
+    ]
+    calls = counted_domains(monkeypatch)
+    grid = identities._case_grid(identities._REGISTRY[identity_id], range_dicts)
+    assert [list(case.items()) for case in grid] == expected
+    assert calls == []
+    # two of each span's four values are in the domain
+    assert len(expected) == sum(2 ** len(ranges) for ranges in range_dicts)
+
+
+def test_a_lower_bound_grid_below_the_domain_has_no_cases():
+    with pytest.raises(DomainError, match="eq5: no cases inside the identity's domain"):
+        verify_range("eq5", {"k": (-3, 0), "n": (0, 2)})
+    with pytest.raises(DomainError, match="eq5: empty span for n: 2..1"):
+        verify_range("eq5", {"k": (-3, 0), "n": (2, 1)})
 
 
 def test_a_case_run_alone_is_still_checked(monkeypatch):
