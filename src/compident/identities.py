@@ -27,10 +27,13 @@ stream, binds them into the params, and hands the evaluator the same
 stream.  A suite checks, binds and evaluates each case once (a span once per
 binding) and hands verify_case the bound params and sides; verify_case
 checks, binds and evaluates a case alone, and a span case that no held span
-covers.  It compares the sides and serializes the lhs; equal sides are
-serialized once, since every value has one canonical form.  The q_exp and
-q_cauchy pairs run the transform on symfun's graded terms (numerators over
-phi_k), so serializing reduces to a RationalFunction once per passing case.
+covers.  It compares the sides.  A failing report's text is made at once; a
+passing report keeps the bound params and the lhs, and makes its text when
+it is first read: the lhs once, for both sides, since every value has one
+canonical form.  So a suite, which reads no passing report, formats no
+passing case.  The q_exp and q_cauchy pairs run the transform on symfun's
+graded terms (numerators over phi_k), and verify_case reduces a graded lhs
+to a RationalFunction at once, once per passing case.
 
 Verification is pointwise (parameters substituted, exact values compared) or
 coefficientwise as polynomial identities in n for eq13, eq29, eq47 (those
@@ -49,6 +52,7 @@ side reads it.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from fractions import Fraction
 from itertools import product as cartesian_product
@@ -105,25 +109,50 @@ class CaseReport:
     A slotted class, not a NamedTuple: a report can be weakly referenced,
     and two reports are equal when their five fields are, never a report
     and a tuple.  It is unhashable, as its params dict is.
+
+    A passing report from verify_case holds its bound params and its lhs
+    value, and formats its params, lhs and rhs text when one of them is
+    first read, under the int <-> str digit limit in force when its case
+    ran: text read after ``cli.main`` has restored the limit is the text
+    the run would have made.  A value over the limit of its run raises
+    ValueError there, at the first read, not in verify_case.
     """
 
-    __slots__ = ("identity_id", "params", "lhs", "rhs", "passed", "__weakref__")
+    __slots__ = ("identity_id", "passed", "_text", "_pending", "__weakref__")
     __hash__ = None
 
     def __init__(
         self, identity_id: str, params: dict[str, str], lhs: str, rhs: str, passed: bool
     ) -> None:
         self.identity_id = identity_id
-        self.params = params
-        self.lhs = lhs
-        self.rhs = rhs
         self.passed = passed
+        self._text = params, lhs, rhs
+        self._pending = None
+
+    @classmethod
+    def _passing(cls, identity_id: str, bound: dict[str, Any], lhs: Any) -> "CaseReport":
+        # a passing case's report, its text made from (bound, lhs) when first read
+        report = cls.__new__(cls)
+        report.identity_id = identity_id
+        report.passed = True
+        report._pending = bound, lhs, _digit_limit()
+        return report
+
+    def _read(self) -> tuple[dict[str, str], str, str]:
+        if self._pending is not None:
+            self._text = _passing_text(*self._pending)
+            self._pending = None
+        return self._text
+
+    params = property(lambda self: self._read()[0])
+    lhs = property(lambda self: self._read()[1])
+    rhs = property(lambda self: self._read()[2])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CaseReport):
             return NotImplemented
-        return (self.identity_id, self.params, self.lhs, self.rhs, self.passed) == (
-            other.identity_id, other.params, other.lhs, other.rhs, other.passed
+        return (self.identity_id, *self._read(), self.passed) == (
+            other.identity_id, *other._read(), other.passed
         )
 
     def __repr__(self) -> str:
@@ -273,6 +302,25 @@ def _serialize_value(value: Any) -> str:
     if isinstance(value, (tuple, list)):
         return "[" + ", ".join(_serialize_value(v) for v in value) + "]"
     raise TypeError(f"cannot serialize value of type {type(value).__name__}")
+
+
+# CPython before 3.10.7 has no int <-> str digit limit: read it as 0, never set
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _passing_text(
+    bound: Mapping[str, Any], lhs: Any, limit: int
+) -> tuple[dict[str, str], str, str]:
+    # a passing report's params, lhs and rhs text, under the digit limit its case ran under
+    previous = _digit_limit()
+    if limit != previous:
+        sys.set_int_max_str_digits(limit)
+    try:
+        text = _serialize_value(lhs)
+        return {name: str(value) for name, value in bound.items()}, text, text
+    finally:
+        if limit != previous:
+            sys.set_int_max_str_digits(previous)
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +771,11 @@ def verify_case(
     params with the rationals bound, and the same stream; a span runs from
     k to k, and raises BudgetExceededError over the COMPIDENT_BUDGET cap.
     verify_range hands in each case it has checked, bound and evaluated, as
-    ``_case`` = (bound params, sides).  Equal sides are serialized once.
+    ``_case`` = (bound params, sides).  A failing report is formatted here.
+    A passing one formats its params and its lhs, once for both sides, when
+    they are first read (see CaseReport), so a value over the int <-> str
+    digit limit outside ``cli.main`` raises ValueError at that read, not
+    here; a graded (q-pair) lhs is reduced here all the same.
     """
     if _case is None:
         reg = _registration(identity_id)
@@ -735,10 +787,13 @@ def verify_case(
         _case = _bind_and_evaluate(reg, cleaned, seed, a, b)
     bound, (lhs, rhs) = _case
     passed = lhs == rhs
+    if isinstance(lhs, QGraded):  # reduced now, so its Phi_d builds check themselves
+        lhs = lhs.reduced()
+    if passed:
+        return CaseReport._passing(identity_id, bound, lhs)
     lhs_text = _serialize_value(lhs)
     params_text = {name: str(value) for name, value in bound.items()}
-    rhs_text = lhs_text if passed else _serialize_value(rhs)
-    return CaseReport(identity_id, params_text, lhs_text, rhs_text, passed)
+    return CaseReport(identity_id, params_text, lhs_text, _serialize_value(rhs), False)
 
 
 def _case_grid(

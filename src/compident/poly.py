@@ -16,8 +16,9 @@ built by one int-list pass per factor p - i, and one normalisation at the
 end; any other p goes through the generic ``exact_arith.falling_factorial``
 loop of Polynomial products.  ``poly_binomial`` is that product over k!.
 ``falling_sum`` builds one row per run of consecutive offsets c, slides
-the rest of the run from their neighbours, adds the rows of its raw terms
-w (u x + c)_k scaled into one int row and normalises the sum once.
+the rest of the run from their neighbours, and adds each row into one int
+row once, scaled by the summed weights w u**t of the raw terms
+w (u x + c)_k at its c; it normalises the sum once.
 
 ``packed_transform`` runs the composition transform, every prefix of it,
 on plain ints at q = 2**w (Kronecker substitution): with unit weights for
@@ -525,9 +526,10 @@ def falling_sum(terms: Iterable[tuple[int, int, int]], k: int, over: int) -> Pol
     """sum_{(w, u, c) in terms} w (u x + c)_k / over, for k >= 0.
 
     The distinct c are walked from the largest down: a row whose c + 1 came
-    just before it is slid from that row, any other is built.  Each term's
-    row is added into one int row with coefficient t scaled by w u**t, and
-    the sum is normalised once.
+    just before it is slid from that row, any other is built.  The row of c
+    is added into one int row with coefficient t scaled by the sum of w u**t
+    over the terms at c, so it is multiplied once per c however many terms
+    share it (a lone term scales it as it goes); the sum is normalised once.
     """
     by_c: dict[int, list[tuple[int, int]]] = {}
     for w, u, c in terms:
@@ -538,11 +540,20 @@ def falling_sum(terms: Iterable[tuple[int, int, int]], k: int, over: int) -> Pol
     for c in sorted(by_c, reverse=True):
         row = _slid_row(row, c, k) if k and row_c == c + 1 else _built_row(c, 1, k)
         row_c = c
-        for w, u in by_c[c]:
-            scale = w
+        group = by_c[c]
+        if len(group) == 1:
+            (scale, u), = group
             for t, a in enumerate(row):
                 out[t] += a * scale
                 scale *= u
+            continue
+        scales = [0] * len(row)  # sum of w u**t over the terms at c, on ints of a few words
+        for scale, u in group:
+            for t in range(len(row)):
+                scales[t] += scale
+                scale *= u
+        for t, (a, scale) in enumerate(zip(row, scales)):
+            out[t] += a * scale
     return _make(out, over)
 
 

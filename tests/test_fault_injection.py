@@ -15,12 +15,15 @@ a case the lhs of its previous call.
 A wrong cyclotomic factor Phi_d is the exception: the q-pair verdicts
 compare numerators over one phi_m and never read a Phi_d.  Only the
 serialized sides of a binding where factors cancel (b = -a) show it, and
-the build of a later Phi_n from it fails its exact division.
+the build of a later Phi_n from it fails its exact division.  So is a wrong
+passing text: a passing report formats its sides only when they are read,
+after every verdict is made, so only the pinned case digests show it.
 """
 
 from fractions import Fraction
 
 import pytest
+from test_golden import N, PINS, pinned_digests
 
 from compident import compositions, identities, poly, stirling, symfun
 from compident.identities import verify_case, verify_range
@@ -378,3 +381,22 @@ def test_an_evaluator_that_serves_a_previous_lhs_fails_the_plain_suites(
             late = reg._replace(evaluate=served_previous(reg.evaluate))
             monkeypatch.setitem(identities._REGISTRY, registered, late)
     assert verify_range(identity_id).passed is passes
+
+
+def wrong_passing_text(passing_text):
+    # an int lhs + 1 in a passing report's text, made when the report is first read
+    def perturbed(bound, lhs, limit):
+        return passing_text(bound, lhs + 1 if isinstance(lhs, int) else lhs, limit)
+
+    return perturbed
+
+
+def test_a_wrong_passing_text_shows_in_the_case_digests_only(monkeypatch, capsys):
+    monkeypatch.setattr(identities, "_passing_text", wrong_passing_text(identities._passing_text))
+    assert all(verify_range(identity_id).passed for identity_id in ALL_SUITES)
+    # eq13's int sides at n = 10^120, read after main has restored the digit limit
+    argv = f"verify --id eq13 --k 40..40 --n {N}..{N} --format json"
+    budget, stdout_sha256, cases_sha256 = PINS[argv]
+    got_stdout, got_cases = pinned_digests(argv, budget, monkeypatch, capsys)
+    assert got_stdout == stdout_sha256  # the verdicts do not see it
+    assert got_cases != cases_sha256

@@ -8,7 +8,9 @@ by int-list passes over a built row of prod_{i<k} (y + c - i d);
 linear Polynomials for the rows, are the independent references they are
 compared against.  ``poly.falling_sum`` is compared with the left-to-right
 sums of ``w * poly_binomial`` and ``w * poly_falling_factorial``, and with
-the generic loop.
+the generic loop: on drawn terms, on the alternating sums' own terms up to
+k = 30, and on seeded lists with many terms at each c, whose row it
+multiplies once by their summed weights.
 """
 
 from fractions import Fraction
@@ -215,3 +217,35 @@ def test_falling_sum_matches_the_left_to_right_sum(terms, k):
     assert falling_sum(terms, k, 1) == left_to_right(poly_falling_factorial, terms, k)
     # the same terms in another order give the same sum
     assert falling_sum(Random(k).sample(terms, len(terms)), k, factorial(k)) == binomials
+
+
+def alternating_terms(k):
+    # eq13's, eq17's, eq29's and eq47's raw terms and divisors, written out
+    # from the statements: w = (-1)^i C(k+1, i+1) for i = 1..k
+    weights = [(i, (-1) ** i * comb(k + 1, i + 1)) for i in range(1, k + 1)]
+    return {
+        "eq13": ([(w, i, 0) for i, w in weights], factorial(k)),
+        "eq17": ([(w, i, 0) for i, w in weights], 1),
+        "eq29": ([t for i, w in weights for t in ((w, i, -i), (-w, i, 0))], factorial(k)),
+        "eq47": ([(w, i, k - 1) for i, w in weights], factorial(k)),
+    }
+
+
+@pytest.mark.parametrize("k", range(31))
+def test_the_alternating_sums_match_the_left_to_right_sum(k):
+    # every term of eq13, eq17 and eq47 shares one c, and eq29's C(i n, k) terms
+    # share c = 0: falling_sum multiplies that row once, by the summed weights
+    for terms, over in alternating_terms(k).values():
+        assert falling_sum(terms, k, over) == left_to_right(poly_falling_factorial, terms, k) / over
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_many_terms_at_one_c_match_the_left_to_right_sum(seed):
+    rng = Random(seed)
+    k = rng.randint(0, 24)
+    slopes = rng.sample(range(-40, 41), rng.randint(1, 6))  # few, so most terms repeat a u
+    offsets = rng.sample(range(-k - 2, k + 3), rng.randint(1, 4))
+    terms = [(rng.randint(-10**12, 10**12), rng.choice(slopes), rng.choice(offsets))
+             for _ in range(rng.randint(2, 40))]
+    assert falling_sum(terms, k, 1) == left_to_right(poly_falling_factorial, terms, k)
+    assert falling_sum(terms, k, factorial(k)) == left_to_right(poly_binomial, terms, k)
