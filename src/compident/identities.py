@@ -42,7 +42,8 @@ a coefficient comparison).  Each of these formulas is written once: ``n`` is
 the bound integer, or else the polynomial x, and the ring of ``n`` picks the
 mode.  All four sum over the weights (-1)^i C(k+1, i+1) of ``_alternating``,
 as raw terms (w, u, c) for w C(u n + c, k): ``binomial`` on ints, or one
-``poly.falling_sum`` with one normalisation in polynomial mode.  The
+``poly.falling_sum`` with one normalisation in polynomial mode, whose
+rows a suite keeps and grows from k - 1 to k (``poly.kept_rows``).  The
 Rothe-Hagen sums eq36, eq37 and eq38 hand their literal terms, as int pairs
 (num, den), to ``exact_arith.fraction_sum``, which adds them as ints over one
 common denominator: one gcd per term and one reduction per side.  No right
@@ -64,7 +65,8 @@ from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 from .compositions import (check_budget, composition_prefix, composition_transform,
                            enumerated_prefix, enumeration_budget)
 from .exact_arith import DomainError, binomial, fraction_sum
-from .poly import Polynomial, RationalFunction, falling_sum, poly_binomial, poly_to_json
+from .poly import (Polynomial, RationalFunction, falling_sum, kept_rows, poly_binomial,
+                   poly_to_json)
 from .stirling import check_eq18, check_eq19, check_eq31, check_eq41, stirling1
 from .symfun import (
     DEFAULT_SEED,
@@ -366,13 +368,10 @@ def _eval_eq13(p: Mapping[str, Any], rng: Random | None) -> _Sides:
 
 def _eval_eq17(p: Mapping[str, Any], rng: Random | None) -> _Sides:
     k = p["k"]
-    lhs_poly = falling_sum([(w, i, 0) for i, w in _alternating(k)], k, 1)
-    lhs = tuple(lhs_poly.coefficient(t) for t in range(k + 1))
-    rhs = tuple(
-        Fraction(0) if t == 0 else Fraction((-1) ** t * stirling1(k, t))
-        for t in range(k + 1)
-    )
-    return lhs, rhs
+    # a sum over 1 of int rows: its int numerators are its coefficients
+    row = falling_sum([(w, i, 0) for i, w in _alternating(k)], k, 1)._num
+    lhs = (*row, *[0] * (k + 1 - len(row)))
+    return lhs, (0, *((-1) ** t * stirling1(k, t) for t in range(1, k + 1)))
 
 
 def _eval_eq18(p: Mapping[str, Any], rng: Random | None) -> _Sides:
@@ -863,6 +862,11 @@ def verify_range(
     keeps one list of sides per binding until the binding's case at that
     top k, and each case reads its entry.  A case over the cap, or of a new
     binding with _HELD_SPANS lists kept, runs alone in verify_case.
+
+    The whole suite runs inside ``poly.kept_rows``: the falling rows of
+    polynomial mode are kept, those of two values of k at most, and each
+    case grows its rows from those of the case before it where it can.  The
+    table is the suite's own and is dropped when it returns or raises.
     """
     reg = _registration(identity_id)
     if ranges is None:
@@ -883,26 +887,27 @@ def verify_range(
     held: dict[tuple[int, ...], tuple[int, dict[str, Any], list[_Sides]]] = {}
     total = failed = 0
     first_failures: list[CaseReport] = []
-    for params in cases:  # in the domain, ints in the documented order
-        case = None  # over the cap, or no held span reaches back to k
-        if span is None:
-            case = _bind_and_evaluate(reg, params, seed, a, b)
-        elif params["k"] <= top:
-            k, key = params["k"], tuple(v for name, v in params.items() if name != "k")
-            if key not in held and len(held) < _HELD_SPANS:
-                bound, rng = _bind(reg, params, seed, a, b)
-                held[key] = k, bound, span.sides(bound, rng, k, top)
-            if key in held and held[key][0] <= k:
-                first, bound, run = held[key]
-                case = {**bound, "k": k}, run[k - first]
-            if k == top:
-                held.pop(key, None)
-        report = verify_case(identity_id, params, seed=seed, a=a, b=b, _case=case)
-        total += 1
-        if not report.passed:
-            failed += 1
-            if len(first_failures) < MAX_REPORTED_FAILURES:
-                first_failures.append(report)
+    with kept_rows():
+        for params in cases:  # in the domain, ints in the documented order
+            case = None  # over the cap, or no held span reaches back to k
+            if span is None:
+                case = _bind_and_evaluate(reg, params, seed, a, b)
+            elif params["k"] <= top:
+                k, key = params["k"], tuple(v for name, v in params.items() if name != "k")
+                if key not in held and len(held) < _HELD_SPANS:
+                    bound, rng = _bind(reg, params, seed, a, b)
+                    held[key] = k, bound, span.sides(bound, rng, k, top)
+                if key in held and held[key][0] <= k:
+                    first, bound, run = held[key]
+                    case = {**bound, "k": k}, run[k - first]
+                if k == top:
+                    held.pop(key, None)
+            report = verify_case(identity_id, params, seed=seed, a=a, b=b, _case=case)
+            total += 1
+            if not report.passed:
+                failed += 1
+                if len(first_failures) < MAX_REPORTED_FAILURES:
+                    first_failures.append(report)
     if not total:  # raised before any case ran: the grid had none
         raise DomainError(f"{reg.descriptor.id}: no cases inside the identity's domain")
     elapsed_ns = time.perf_counter_ns() - start

@@ -18,7 +18,10 @@ loop of Polynomial products.  ``poly_binomial`` is that product over k!.
 ``falling_sum`` builds one row per run of consecutive offsets c, slides
 the rest of the run from their neighbours, and adds each row into one int
 row once, scaled by the summed weights w u**t of the raw terms
-w (u x + c)_k at its c; it normalises the sum once.
+w (u x + c)_k at its c; it normalises the sum once.  Inside ``kept_rows``
+(one ``identities.verify_range`` call) the built rows of two values of k
+at most are kept, and a row of k grows from a kept row of k - 1 by one
+factor in one pass; outside it every row is built from scratch.
 
 ``packed_transform`` runs the composition transform, every prefix of it,
 on plain ints at q = 2**w (Kronecker substitution): with unit weights for
@@ -28,6 +31,8 @@ symfun.QGraded terms.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
@@ -449,19 +454,80 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(u).monic()
 
 
-def _built_row(c: int, d: int, k: int) -> list[int]:
-    """Coefficients of prod_{i<k} (y + c - i d) in y, lowest degree first:
-    one int-list pass per factor y + c - i d."""
+# The falling rows of one suite, (c, d, k) -> row, from kept_rows; None, so
+# nothing is kept, outside one.  A context variable, so that no two threads or
+# tasks share a table.
+_kept: ContextVar[dict[tuple[int, int, int], tuple[int, ...]] | None] = ContextVar(
+    "_kept", default=None)
+
+
+@contextmanager
+def kept_rows() -> Iterator[None]:
+    """Keep the rows ``_built_row`` makes inside the block, for the block
+    only: those of two neighbouring values of k at most."""
+    token = _kept.set({})
+    try:
+        yield
+    finally:
+        _kept.reset(token)
+
+
+def _times_linear(row: Sequence[int], v: int) -> list[int]:
+    """The row of (y + v) times the polynomial of row: one pass."""
+    # coefficient t of (y + v) * row is v * row[t] + row[t - 1]
+    out, below = [], 0
+    for a in row:
+        out.append(v * a + below)
+        below = a
+    out.append(below)
+    return out
+
+
+def _expanded_row(c: int, d: int, k: int) -> list[int]:
+    """prod_{i<k} (y + c - i d) from scratch: one ``_times_linear`` pass per factor."""
     out = [1]
     for i in range(k):
-        v = c - i * d
-        # coefficient t of (y + v) * out is v * out[t] + out[t - 1]
-        nxt, below = [], 0
-        for a in out:
-            nxt.append(v * a + below)
-            below = a
-        nxt.append(below)
-        out = nxt
+        out = _times_linear(out, c - i * d)
+    return out
+
+
+def _grown_row(kept: dict[tuple[int, int, int], tuple[int, ...]],
+               c: int, d: int, k: int) -> list[int] | None:
+    """The (c, d, k) row grown from a kept row of k - 1 by one factor: the
+    (c, d, k - 1) row by its next one, y + c - (k - 1) d, or else the
+    (c - d, d, k - 1) row by the one before its first, y + c.  None when
+    neither is kept."""
+    below = kept.get((c, d, k - 1))
+    if below is not None:
+        return _times_linear(below, c - (k - 1) * d)
+    below = kept.get((c - d, d, k - 1))
+    if below is not None:
+        return _times_linear(below, c)
+    return None
+
+
+def _built_row(c: int, d: int, k: int) -> list[int]:
+    """Coefficients of prod_{i<k} (y + c - i d) in y, lowest degree first, in
+    a new list.
+
+    Outside ``kept_rows`` it is built from scratch, one pass per factor.
+    Inside, it is a copy of the kept (c, d, k) row, or a kept row of k - 1
+    grown by one factor (``_grown_row``), or else built from scratch; a row
+    not kept yet is kept, and unless its k is one below the highest kept k,
+    only the kept rows of k - 1 and k stay: the rows of two values of k at
+    most.
+    """
+    kept = _kept.get()
+    if kept is None:
+        return _expanded_row(c, d, k)
+    row = kept.get((c, d, k))
+    if row is not None:
+        return list(row)
+    out = _grown_row(kept, c, d, k) or _expanded_row(c, d, k)
+    if k != max((key[2] for key in kept), default=k) - 1:
+        for key in [key for key in kept if not k - 1 <= key[2] <= k]:
+            del kept[key]
+    kept[c, d, k] = tuple(out)  # the caller may change its list
     return out
 
 
@@ -526,7 +592,9 @@ def falling_sum(terms: Iterable[tuple[int, int, int]], k: int, over: int) -> Pol
     """sum_{(w, u, c) in terms} w (u x + c)_k / over, for k >= 0.
 
     The distinct c are walked from the largest down: a row whose c + 1 came
-    just before it is slid from that row, any other is built.  The row of c
+    just before it is slid from that row, any other is built
+    (``_built_row``, which inside ``kept_rows`` may grow it from a kept row
+    of k - 1).  Slid rows are not kept.  The row of c
     is added into one int row with coefficient t scaled by the sum of w u**t
     over the terms at c, so it is multiplied once per c however many terms
     share it (a lone term scales it as it goes); the sum is normalised once.

@@ -274,10 +274,24 @@ def wrong_slid_row(slid):
     return perturbed
 
 
+def doubled_growth(grown):
+    # a suite grows a kept (c, d, k - 1) row by 2 (y + c - (k - 1) d), not
+    # by its next factor.  A monic wrong factor would drop a root y - i that
+    # eq29's slides divide out, so a slide would raise instead of failing a
+    # case; and rows grown by the factor before their first stay right, since
+    # eq13 and eq47 grow one row each way per case and a scale on both cancels
+    def perturbed(kept, c, d, k):
+        out = grown(kept, c, d, k)
+        return [2 * v for v in out] if (c, d, k - 1) in kept else out
+
+    return perturbed
+
+
 # (namespace, name, perturbation): the polynomial-mode fast paths
 POLYNOMIAL_MODE_FAULTS = {
     "falling_row": (poly, "_built_row", wrong_row),
     "falling_sum": (identities, "falling_sum", wrong_weight),
+    "falling_growth": (poly, "_grown_row", doubled_growth),
 }
 
 
